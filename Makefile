@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet lint race debugrace bench loadbench fuzz fuzzchurn fuzzexternal ci
+.PHONY: all build test vet lint perfbench race debugrace bench loadbench fuzz fuzzchurn fuzzexternal ci
 
 all: ci
 
@@ -19,6 +19,13 @@ vet:
 # the first finding.
 lint:
 	$(GO) run ./cmd/trikcheck
+
+# The benchmark harness is its own module (cmd/perfbench/go.mod replaces
+# trikcore with this checkout), so root `go test ./...` skips it. Vet and
+# test it here, so a change to an internal API it calls fails CI rather
+# than the benchmark run.
+perfbench:
+	cd cmd/perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Race-enabled run of the packages with concurrent code paths (parallel
 # FreezeStatic build, work-stealing ComputeSupport) plus the full suite.
@@ -86,4 +93,4 @@ fuzz:
 fuzzchurn:
 	$(GO) test -run '^$$' -fuzz FuzzEngineChurn -fuzztime 20s -tags trikdebug ./internal/dynamic
 
-ci: vet lint build test race debugrace
+ci: vet lint perfbench build test race debugrace

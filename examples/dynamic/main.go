@@ -40,13 +40,18 @@ func main() {
 		}
 	}
 
-	start := time.Now()
+	// The whole churn is one batch: the engine applies it by net effect,
+	// deletions before insertions, with exactly the κ of one-at-a-time
+	// application.
+	ops := make([]trikcore.EdgeOp, 0, len(dels)+len(adds))
 	for _, e := range dels {
-		en.DeleteEdgeE(e)
+		ops = append(ops, trikcore.EdgeOp{U: e.U, V: e.V, Del: true})
 	}
 	for _, e := range adds {
-		en.InsertEdgeE(e)
+		ops = append(ops, trikcore.EdgeOp{U: e.U, V: e.V})
 	}
+	start := time.Now()
+	en.ApplyBatch(ops)
 	updateTime := time.Since(start)
 
 	start = time.Now()

@@ -25,18 +25,14 @@
 // All engine state lives on a graph.Dense substrate: κ, traversal marks
 // and the κ-histogram are flat slices indexed by dense edge id, the
 // mid-update "off" triangle set is a generation-stamped vertex array, and
-// traversal scratch is engine-owned and reused across updates. ApplyBatch
-// additionally amortizes the per-edge triangle buffer across a whole batch
-// of operations. See DESIGN.md §6.
+// traversal scratch is engine-owned and reused across updates. Every
+// mutation runs as a batch (ApplyBatchContext), which amortizes the
+// per-edge triangle buffer across the whole batch. See DESIGN.md §6.
 package dynamic
 
 import (
-	"fmt"
-
 	"trikcore/internal/core"
 	"trikcore/internal/graph"
-	"trikcore/internal/obs"
-	"trikcore/internal/obs/trace"
 )
 
 // Engine owns a graph and keeps κ(e) correct for every edge across
@@ -79,6 +75,10 @@ type Engine struct {
 	// observers can read its endpoints). TrackedEngine uses it to maintain
 	// explicit core membership.
 	onKappaChange func(eid int32, old, new int32)
+	// onUpdate, when set, runs at the end of every batch, after the last
+	// transition and before the invariant check. TrackedEngine repairs
+	// the membership that onKappaChange marked dirty there.
+	onUpdate func()
 
 	// version counts effective graph changes: it moves exactly when a
 	// public mutation (or batch of them) actually changed the vertex or
@@ -88,23 +88,11 @@ type Engine struct {
 
 	stats Stats
 
-	// mt, when non-nil (see Instrument), records public-op durations,
-	// Stats deltas and structural gauges. Hooks live only at public-op
-	// boundaries so the uninstrumented mutation path is untouched.
+	// mt, when non-nil (see Instrument), records stage durations, Stats
+	// deltas and structural gauges. Hooks live only at batch boundaries
+	// so the uninstrumented mutation path is untouched.
 	mt *engineMetrics
-
-	// tr, when non-nil (see SetTrace), receives flight-recorder spans for
-	// the batch-apply stages — the trace equivalent of mt's phase timers.
-	// It rides one batch: the Publisher sets it before running a traced
-	// mutation and clears it after, both under its writer mutex.
-	tr *trace.Trace
 }
-
-// SetTrace attaches (or, with nil, detaches) a flight-recorder trace that
-// subsequent batch applies emit stage spans into. Like all engine methods
-// it must not race with mutations; the single-writer Publisher satisfies
-// that by bracketing each traced mutation under its own mutex.
-func (en *Engine) SetTrace(t *trace.Trace) { en.tr = t }
 
 // scratch is the engine-owned traversal workspace, reused across updates.
 // Arrays indexed by edge id are sized to the dense edge capacity; st and
@@ -202,12 +190,14 @@ func (en *Engine) transition(eid, old, new int32) {
 // layout and carries κ along.
 func (en *Engine) Graph() *graph.Graph { return en.d.Materialize() }
 
-// Version returns the engine's monotone change counter. It advances
-// exactly when a mutation — a single InsertEdge/DeleteEdge/AddVertex/
-// RemoveVertex, or a whole ApplyBatch — effectively changed the graph;
-// no-op mutations (re-inserting a present edge, deleting an absent one,
-// an empty or self-canceling batch) leave it untouched. Two equal
-// versions therefore always name the same graph and κ assignment.
+// Version returns the engine's monotone change counter. It advances once
+// per batch that effectively changed the graph (a single InsertEdge or
+// DeleteEdge is a batch of one) and once per AddVertex/RemoveVertex that
+// changed the vertex set, so RemoveVertex of a vertex with edges moves it
+// twice: once for the deletion batch, once for the vertex. No-op
+// mutations (re-inserting a present edge, deleting an absent one, an
+// empty or self-canceling batch) leave it untouched. Two equal versions
+// therefore always name the same graph and κ assignment.
 func (en *Engine) Version() uint64 { return en.version }
 
 // bumpVersion records one effective mutation.
@@ -278,20 +268,18 @@ func (en *Engine) AddVertex(v graph.Vertex) bool {
 }
 
 // RemoveVertex deletes v and all incident edges, maintaining κ through
-// each edge deletion. It reports whether v was present.
+// one deletion batch of those edges. It reports whether v was present.
 func (en *Engine) RemoveVertex(v graph.Vertex) bool {
 	dv, ok := en.d.DenseOf(v)
 	if !ok {
 		return false
 	}
-	var nbrs []graph.Vertex
+	var ops []EdgeOp
 	en.d.ForEachNeighborD(dv, func(w, _ int32) bool {
-		nbrs = append(nbrs, en.d.OrigOf(w))
+		ops = append(ops, EdgeOp{U: v, V: en.d.OrigOf(w), Del: true})
 		return true
 	})
-	for _, w := range nbrs {
-		en.DeleteEdge(v, w)
-	}
+	en.ApplyBatch(ops)
 	ok = en.d.RemoveVertexV(v)
 	if ok {
 		en.bumpVersion()
@@ -300,73 +288,43 @@ func (en *Engine) RemoveVertex(v graph.Vertex) bool {
 	return ok
 }
 
-// InsertEdge adds the edge {u, v}, creating endpoints as needed, and
-// updates κ for every affected edge. It reports whether the edge was new.
+// InsertEdge adds the edge {u, v} as a batch of one, creating endpoints
+// as needed, and updates κ for every affected edge. It reports whether
+// the edge was new.
 func (en *Engine) InsertEdge(u, v graph.Vertex) bool {
-	var sp obs.Span
-	var before Stats
-	if en.mt != nil {
-		sp = obs.StartSpan(en.mt.insertSeconds)
-		before = en.stats
-	}
-	var tris []int32
-	added := en.insertEdgeCanon(u, v, &tris)
-	if added {
-		en.bumpVersion()
-	}
-	if en.mt != nil {
-		sp.End()
-		en.mt.recordOp(en, before, added, false)
-	}
-	en.debugAssert()
-	return added
+	added, _ := en.ApplyBatch([]EdgeOp{{U: u, V: v}})
+	return added == 1
 }
 
-// DeleteEdge removes the edge {u, v} and updates κ for every affected
-// edge. Endpoints are kept. It reports whether the edge existed.
+// DeleteEdge removes the edge {u, v} as a batch of one and updates κ for
+// every affected edge. Endpoints are kept. It reports whether the edge
+// existed.
 func (en *Engine) DeleteEdge(u, v graph.Vertex) bool {
-	var sp obs.Span
-	var before Stats
-	if en.mt != nil {
-		sp = obs.StartSpan(en.mt.deleteSeconds)
-		before = en.stats
-	}
-	var tris []int32
-	removed := en.deleteEdgeCanon(u, v, &tris)
-	if removed {
-		en.bumpVersion()
-	}
-	if en.mt != nil {
-		sp.End()
-		en.mt.recordOp(en, before, removed, true)
-	}
-	en.debugAssert()
-	return removed
+	_, removed := en.ApplyBatch([]EdgeOp{{U: u, V: v, Del: true}})
+	return removed == 1
 }
 
-// insertEdgeCanon is InsertEdge with a caller-supplied triangle buffer, so
-// batch application can amortize it across many operations.
-func (en *Engine) insertEdgeCanon(u, v graph.Vertex, tris *[]int32) bool {
-	if u == v {
-		panic(fmt.Sprintf("dynamic: self-loop on vertex %d", u))
-	}
+// insertEdgeCanon adds one edge of a canonical batch on the serial
+// context, reporting whether it was new.
+func (en *Engine) insertEdgeCanon(u, v graph.Vertex) bool {
 	eid, added := en.d.AddEdgeV(u, v)
 	if !added {
 		return false
 	}
 	en.ensureEdgeCap()
 	en.ensureVertexCap()
-	en.ser.processEdgeInsert(eid, tris)
+	en.ser.processEdgeInsert(eid, &en.ser.sc.tris)
 	return true
 }
 
-// deleteEdgeCanon is DeleteEdge with a caller-supplied triangle buffer.
-func (en *Engine) deleteEdgeCanon(u, v graph.Vertex, tris *[]int32) bool {
+// deleteEdgeCanon removes one edge of a canonical batch on the serial
+// context, reporting whether it existed.
+func (en *Engine) deleteEdgeCanon(u, v graph.Vertex) bool {
 	eid := en.d.EdgeIDV(u, v)
 	if eid < 0 {
 		return false
 	}
-	en.ser.processEdgeDelete(eid, tris)
+	en.ser.processEdgeDelete(eid, &en.ser.sc.tris)
 	en.d.RemoveEdgeByID(eid)
 	return true
 }
@@ -379,15 +337,9 @@ func (en *Engine) forEachActiveTriangleOn(eid int32, fn func(w, e1, e2 int32) bo
 	en.ser.forEachActiveTriangleOn(eid, fn)
 }
 
-// InsertEdgeE and DeleteEdgeE are the Edge-value forms.
-func (en *Engine) InsertEdgeE(e graph.Edge) bool { return en.InsertEdge(e.U, e.V) }
-
-// DeleteEdgeE removes a canonical edge; see DeleteEdge.
-func (en *Engine) DeleteEdgeE(e graph.Edge) bool { return en.DeleteEdge(e.U, e.V) }
-
 // ApplyDiff applies a snapshot diff: removed edges, removed vertices,
 // added vertices, then added edges, maintaining κ throughout. The edge
-// portions go through ApplyBatch.
+// portions are one batch each.
 func (en *Engine) ApplyDiff(df graph.Diff) {
 	ops := make([]EdgeOp, 0, len(df.RemovedEdges))
 	for _, e := range df.RemovedEdges {

@@ -128,7 +128,7 @@ func TestDismantleCliqueIncrementally(t *testing.T) {
 	}
 	en := NewEngine(g)
 	for _, e := range g.Edges() {
-		en.DeleteEdgeE(e)
+		en.DeleteEdge(e.U, e.V)
 		assertMatchesStatic(t, en, "dismantle K7")
 	}
 	if en.Graph().NumEdges() != 0 {

@@ -4,21 +4,23 @@ import (
 	"trikcore/internal/core"
 	"trikcore/internal/graph"
 	"trikcore/internal/obs"
+	"trikcore/internal/obs/trace"
 )
 
-// Batch-apply stage names observed by the trikcore_engine_batch_stage_seconds
-// phase timer: canonicalizing the op list (sort + dedup by net effect), then
-// the surviving deletions, then the surviving insertions.
+// Serial batch stage names, the phase labels of
+// trikcore_engine_batch_stage_seconds: canonicalizing the op list (sort +
+// dedup by net effect), then the surviving deletions, then the surviving
+// insertions.
 const (
 	StageCanonicalize = "canonicalize"
 	StageDelete       = "delete"
 	StageInsert       = "insert"
 )
 
-// Parallel-apply stage names observed by the
-// trikcore_engine_parallel_stage_seconds phase timer: the serial resolve
-// pre-pass, region partitioning, the parallel execute phase (dispatch to
-// epoch barrier), and validation + funnel merge + conflict suffix.
+// Parallel epoch stage names, the phase labels of
+// trikcore_engine_parallel_stage_seconds: the serial resolve pre-pass,
+// region partitioning, the parallel execute phase (dispatch to epoch
+// barrier), and validation + funnel merge + conflict suffix.
 const (
 	StageResolve   = "resolve"
 	StagePartition = "partition"
@@ -26,24 +28,74 @@ const (
 	StageMerge     = "merge"
 )
 
+// stage names one timed boundary of a batch apply: the whole serial
+// batch and its three stages, or the whole parallel epoch and its four.
+type stage int
+
+const (
+	stApplyBatch stage = iota
+	stCanonicalize
+	stDelete
+	stInsert
+	stApplyParallel
+	stResolve
+	stPartition
+	stExecute
+	stMerge
+	numStages
+)
+
+// stageTimers describes the one timer of each stage: the flight-recorder
+// span it records and the histogram family (and phase label) it feeds.
+var stageTimers = [numStages]struct{ span, family, phase string }{
+	stApplyBatch:    {"engine.apply_batch", "trikcore_engine_apply_batch_seconds", ""},
+	stCanonicalize:  {"engine.canonicalize", batchStageSeconds, StageCanonicalize},
+	stDelete:        {"engine.delete", batchStageSeconds, StageDelete},
+	stInsert:        {"engine.insert", batchStageSeconds, StageInsert},
+	stApplyParallel: {"engine.apply_parallel", "trikcore_engine_apply_parallel_seconds", ""},
+	stResolve:       {"engine.resolve", parallelStageSeconds, StageResolve},
+	stPartition:     {"engine.partition", parallelStageSeconds, StagePartition},
+	stExecute:       {"engine.execute", parallelStageSeconds, StageExecute},
+	stMerge:         {"engine.merge", parallelStageSeconds, StageMerge},
+}
+
+const (
+	batchStageSeconds    = "trikcore_engine_batch_stage_seconds"
+	parallelStageSeconds = "trikcore_engine_parallel_stage_seconds"
+)
+
+// stageHelp is the help text of each stage histogram family.
+var stageHelp = map[string]string{
+	"trikcore_engine_apply_batch_seconds":    "Wall time of one ApplyBatch call.",
+	batchStageSeconds:                        "Wall time per ApplyBatch stage.",
+	"trikcore_engine_apply_parallel_seconds": "Wall time of one ApplyBatchParallel call.",
+	parallelStageSeconds:                     "Wall time per ApplyBatchParallel stage.",
+}
+
+// startStage opens the one timer of stage s: its histogram when the
+// engine is instrumented, its span when tr is non-nil.
+func (en *Engine) startStage(tr *trace.Trace, s stage) obs.Span {
+	var h *obs.Histogram
+	if en.mt != nil {
+		h = en.mt.stages[s]
+	}
+	return obs.StartStage(h, tr, stageTimers[s].span, "engine")
+}
+
 // engineMetrics holds the engine's metric handles. A nil *engineMetrics
 // (the uninstrumented default) keeps every mutation path bit-identical to
 // an engine built before instrumentation existed: hooks are guarded by one
-// `en.mt != nil` branch at the public-op boundary, never inside the
+// `en.mt != nil` branch at the batch boundary, never inside the
 // per-triangle funnels.
 type engineMetrics struct {
-	applyBatchSeconds *obs.Histogram // whole-batch wall time
-	insertSeconds     *obs.Histogram // per public InsertEdge call
-	deleteSeconds     *obs.Histogram // per public DeleteEdge call
-	stages            *obs.PhaseTimer
+	// stages[s] is the duration histogram of stage s.
+	stages [numStages]*obs.Histogram
 
-	applyParallelSeconds *obs.Histogram // whole ApplyBatchParallel call
-	parStages            *obs.PhaseTimer
-	regionsPerBatch      *obs.Histogram // regions per parallel epoch
-	regionSize           *obs.Histogram // ops per region
-	regionConflicts      *obs.Counter   // regions demoted to the suffix
-	barrierWaitSeconds   *obs.Histogram // coordinator wait at the barrier
-	workerBusySeconds    *obs.Histogram // per-worker busy time per epoch
+	regionsPerBatch    *obs.Histogram // regions per parallel epoch
+	regionSize         *obs.Histogram // ops per region
+	regionConflicts    *obs.Counter   // regions demoted to the suffix
+	barrierWaitSeconds *obs.Histogram // coordinator wait at the barrier
+	workerBusySeconds  *obs.Histogram // per-worker busy time per epoch
 
 	insertsApplied *obs.Counter
 	deletesApplied *obs.Counter
@@ -69,20 +121,6 @@ func (en *Engine) Instrument(reg *obs.Registry) {
 		return
 	}
 	mt := &engineMetrics{
-		applyBatchSeconds: reg.Histogram("trikcore_engine_apply_batch_seconds",
-			"Wall time of one ApplyBatch call.", obs.DurationBuckets, nil),
-		insertSeconds: reg.Histogram("trikcore_engine_op_seconds",
-			"Wall time of one single-edge mutation.", obs.DurationBuckets, obs.Labels{"op": "insert"}),
-		deleteSeconds: reg.Histogram("trikcore_engine_op_seconds",
-			"Wall time of one single-edge mutation.", obs.DurationBuckets, obs.Labels{"op": "delete"}),
-		stages: obs.NewPhaseTimer(reg, "trikcore_engine_batch_stage_seconds",
-			"Wall time per ApplyBatch stage.", StageCanonicalize, StageDelete, StageInsert),
-
-		applyParallelSeconds: reg.Histogram("trikcore_engine_apply_parallel_seconds",
-			"Wall time of one ApplyBatchParallel call.", obs.DurationBuckets, nil),
-		parStages: obs.NewPhaseTimer(reg, "trikcore_engine_parallel_stage_seconds",
-			"Wall time per ApplyBatchParallel stage.",
-			StageResolve, StagePartition, StageExecute, StageMerge),
 		regionsPerBatch: reg.Histogram("trikcore_engine_parallel_regions",
 			"Affected regions per parallel epoch.", obs.CountBuckets, nil),
 		regionSize: reg.Histogram("trikcore_engine_parallel_region_ops",
@@ -119,26 +157,16 @@ func (en *Engine) Instrument(reg *obs.Registry) {
 		substrateBytes: reg.Gauge("trikcore_engine_substrate_bytes",
 			"Approximate heap footprint of the dense substrate; refreshed per batch.", nil),
 	}
+	for s, st := range stageTimers {
+		var lbl obs.Labels
+		if st.phase != "" {
+			lbl = obs.Labels{"phase": st.phase}
+		}
+		mt.stages[s] = reg.Histogram(st.family, stageHelp[st.family], obs.DurationBuckets, lbl)
+	}
 	en.mt = mt
 	mt.syncGauges(en)
 	mt.substrateBytes.Set(en.d.SizeBytes())
-}
-
-// recordOp folds one public single-edge mutation into the metrics: the
-// work-counter deltas accumulated since before, the applied-op counter when
-// the graph actually changed, and the O(1) gauges. The substrate-size
-// gauge is deliberately not refreshed here — computing it walks every
-// vertex row, which would dwarf a single-edge update; it refreshes per
-// batch and at Instrument time instead.
-func (mt *engineMetrics) recordOp(en *Engine, before Stats, changed, del bool) {
-	if changed {
-		if del {
-			mt.deletesApplied.Inc()
-		} else {
-			mt.insertsApplied.Inc()
-		}
-	}
-	mt.recordDelta(en, before)
 }
 
 // recordDelta publishes the Stats movement since before plus the O(1)

@@ -49,13 +49,16 @@ func TestInstrumentRecordsMutations(t *testing.T) {
 		`trikcore_engine_ops_applied_total{op="insert"} 3`,
 		`trikcore_engine_ops_applied_total{op="delete"} 2`,
 		"trikcore_engine_ops_deduped_total 1",
-		"trikcore_engine_apply_batch_seconds_count 1",
-		`trikcore_engine_op_seconds_count{op="insert"} 1`,
-		`trikcore_engine_op_seconds_count{op="delete"} 1`,
+		// The per-edge calls are batches of one: three batches in all.
+		"trikcore_engine_apply_batch_seconds_count 3",
+		`trikcore_engine_batch_stage_seconds_count{phase="insert"} 3`,
 	} {
 		if !strings.Contains(expo, want) {
 			t.Errorf("exposition missing %q", want)
 		}
+	}
+	if strings.Contains(expo, "trikcore_engine_op_seconds") {
+		t.Error("per-edge calls must not have a metric family of their own")
 	}
 
 	// Structural gauges track the live substrate.

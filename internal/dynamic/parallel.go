@@ -6,16 +6,17 @@ import (
 	"time"
 
 	"trikcore/internal/obs"
+	"trikcore/internal/obs/trace"
 )
 
-// ApplyBatchParallel applies a batch of edge operations with κ
-// maintenance fanned out over workers goroutines, returning how many
-// edges were actually inserted and deleted. It is equivalent to
-// ApplyBatch — same final graph, same final κ assignment, same version
-// semantics, net-effect transitions through the same funnel — for every
-// batch and any worker count; only the internal work accounting (Stats)
-// may differ, since regions traverse against a frozen base rather than
-// each other's intermediate states.
+// applyParallel runs a canonicalized batch as one epoch with κ
+// maintenance fanned out over workers goroutines, returning how many ops
+// survived canonicalization and the applied counts. It is equivalent to
+// the serial path — same final graph, same final κ assignment,
+// net-effect transitions through the same funnel — for every batch and
+// any worker count; only the internal work accounting (Stats) may
+// differ, since regions traverse against a frozen base rather than each
+// other's intermediate states.
 //
 // The epoch protocol (DESIGN.md §"Epoch-coordinated parallel
 // maintenance"):
@@ -37,38 +38,21 @@ import (
 //     suffix, everything else lands its staged transitions through the
 //     κ-transition funnel; then the suffix re-executes serially against
 //     the merged state and lands last;
-//  5. cleanup (serial): deleted edges leave the substrate, the version
-//     advances once if anything changed.
+//  5. cleanup (serial): deleted edges leave the substrate; the caller
+//     advances the version once if anything changed.
 //
 // Because partitioning, region execution, validation order and merge
 // order are all independent of scheduling, the final engine state is
-// byte-identical across worker counts. workers <= 1 delegates to the
-// serial ApplyBatch — the region machinery has nothing to win
-// single-threaded.
-func (en *Engine) ApplyBatchParallel(ops []EdgeOp, workers int) (added, removed int) {
-	if workers <= 1 || len(ops) == 0 {
-		return en.ApplyBatch(ops)
-	}
-	var sp, stage obs.Span
-	var stages *obs.PhaseTimer
-	var before Stats
-	if en.mt != nil {
-		sp = obs.StartSpan(en.mt.applyParallelSeconds)
-		stages = en.mt.parStages
-		before = en.stats
-	}
+// byte-identical across worker counts.
+func (en *Engine) applyParallel(tr *trace.Trace, ops []EdgeOp, workers int) (kept, added, removed int) {
+	defer en.startStage(tr, stApplyParallel).End()
 	p := &en.par
-
-	// Flight-recorder spans mirror the stage timers; all coordinator-side
-	// (workers never touch en.tr), and no-ops when no trace is attached.
-	tsp := en.tr.StartSpan("engine.apply_parallel", "engine")
 
 	// Resolve: canonicalize, drop no-ops, pre-insert and mask the
 	// insertions. After this the structure is G_max and frozen until
 	// cleanup; the pending marks keep the active graph at the pre-batch
 	// edge set, for which the maintained κ is a consistent assignment.
-	stage = stages.Start(StageResolve)
-	ts := en.tr.StartSpan("engine."+StageResolve, "engine")
+	sp := en.startStage(tr, stResolve)
 	buf := canonicalizeOps(ops, en.ser.sc.ops)
 	en.ser.sc.ops = buf
 	en.pendGen++
@@ -105,29 +89,19 @@ func (en *Engine) ApplyBatchParallel(ops []EdgeOp, workers int) (added, removed 
 			en.pendMark[r.eid] = en.pendGen
 		}
 	}
-	ts.End()
-	stage.End()
+	sp.End()
 	if len(resolved) == 0 {
-		tsp.End()
-		if en.mt != nil {
-			sp.End()
-			en.mt.opsDeduped.Add(uint64(len(ops) - len(buf)))
-		}
-		en.debugAssert()
-		return 0, 0
+		return len(buf), 0, 0
 	}
 
-	stage = stages.Start(StagePartition)
-	ts = en.tr.StartSpan("engine."+StagePartition, "engine")
+	sp = en.startStage(tr, stPartition)
 	nRegions := p.partition(en, resolved)
-	ts.End()
-	stage.End()
+	sp.End()
 
 	// Execute: nw workers drain the region list through a shared atomic
 	// cursor. Claiming order is scheduling-dependent; nothing else is —
 	// each region's result is a pure function of the frozen base.
-	stage = stages.Start(StageExecute)
-	ts = en.tr.StartSpan("engine."+StageExecute, "engine")
+	sp = en.startStage(tr, stExecute)
 	nw := workers
 	if nw > nRegions {
 		nw = nRegions
@@ -176,13 +150,11 @@ func (en *Engine) ApplyBatchParallel(ops []EdgeOp, workers int) (added, removed 
 	}
 	wg.Wait()
 	barrier.End()
-	ts.End()
-	stage.End()
+	sp.End()
 
 	// Merge at the barrier: validate ascending, land clean regions through
 	// the funnel, re-execute the conflict suffix against the merged state.
-	stage = stages.Start(StageMerge)
-	ts = en.tr.StartSpan("engine."+StageMerge, "engine")
+	sp = en.startStage(tr, stMerge)
 	p.wGen++
 	if p.wGen == 0 {
 		for i := range p.wMark {
@@ -231,27 +203,18 @@ func (en *Engine) ApplyBatchParallel(ops []EdgeOp, workers int) (added, removed 
 		en.mergeStaged(rg.writes, rg.vals)
 		en.stats.accumulate(rg.stats)
 	}
-	ts.End()
-	stage.End()
+	sp.End()
 
 	// Cleanup: deletions leave the substrate (their removal transitions
-	// already fired at merge, while the edges were still live), and one
-	// version step covers the whole effective batch. Every pending mark
-	// was cleared by the merges, so no mask survives the epoch.
+	// already fired at merge, while the edges were still live). Every
+	// pending mark was cleared by the merges, so no mask survives the
+	// epoch.
 	for _, r := range resolved {
 		if r.del {
 			en.d.RemoveEdgeByID(r.eid)
 		}
 	}
-	if added+removed > 0 {
-		en.bumpVersion()
-	}
-	tsp.End()
 	if en.mt != nil {
-		sp.End()
-		en.mt.insertsApplied.Add(uint64(added))
-		en.mt.deletesApplied.Add(uint64(removed))
-		en.mt.opsDeduped.Add(uint64(len(ops) - len(buf)))
 		en.mt.regionsPerBatch.Observe(float64(nRegions))
 		for i := 0; i < nRegions; i++ {
 			en.mt.regionSize.Observe(float64(len(p.regions[i].ops)))
@@ -260,11 +223,8 @@ func (en *Engine) ApplyBatchParallel(ops []EdgeOp, workers int) (added, removed 
 		for _, d := range p.busy[:nw] {
 			en.mt.workerBusySeconds.Observe(d.Seconds())
 		}
-		en.mt.recordDelta(en, before)
-		en.mt.substrateBytes.Set(en.d.SizeBytes())
 	}
-	en.debugAssert()
-	return added, removed
+	return len(buf), added, removed
 }
 
 // region is one unit of parallel work: a group of resolved ops plus the

@@ -70,7 +70,7 @@ func TestCommunityCollapseAndRebuild(t *testing.T) {
 		t.Fatalf("community edge κ = %d, want ≥ 13", k)
 	}
 	for _, e := range internal {
-		en.DeleteEdgeE(e)
+		en.DeleteEdge(e.U, e.V)
 	}
 	want := core.Decompose(en.Graph()).EdgeKappas()
 	for e, k := range want {
@@ -79,7 +79,7 @@ func TestCommunityCollapseAndRebuild(t *testing.T) {
 		}
 	}
 	for _, e := range internal {
-		en.InsertEdgeE(e)
+		en.InsertEdge(e.U, e.V)
 	}
 	want = core.Decompose(en.Graph()).EdgeKappas()
 	for e, k := range want {

@@ -38,8 +38,8 @@ type TrackedEngine struct {
 	// cores[eid] holds the witness of live edge eid as sorted dense third
 	// vertices; free edge slots keep empty lists.
 	cores [][]int32
-	// dirty lists edges needing repair during one public update, with
-	// dirtyMark deduplicating by edge id.
+	// dirty lists edges needing repair during one batch, with dirtyMark
+	// deduplicating by edge id.
 	dirty     []int32
 	dirtyMark []bool
 }
@@ -52,6 +52,7 @@ type TrackedEngine struct {
 func NewTrackedEngine(g *graph.Graph) *TrackedEngine {
 	te := &TrackedEngine{Engine: NewEngine(g)}
 	te.Engine.onKappaChange = te.observe
+	te.Engine.onUpdate = te.repair
 	te.ensureCap()
 	te.d.ForEachEdgeID(func(eid int32) bool {
 		te.cores[eid] = te.selectWitnessInto(nil, eid, te.kappa[eid])
@@ -76,12 +77,12 @@ func (te *TrackedEngine) markDirty(eid int32) {
 	}
 }
 
-// observe collects κ transitions; repairs run after the whole public
-// update completes (the engine applies one update as several per-triangle
-// steps, and membership is only required to be consistent between public
-// updates). Removal transitions arrive while the edge and its triangles
-// are still present, which is what lets dependents be found here rather
-// than by a pre-mutation hook.
+// observe collects κ transitions; repairs run once at the end of the
+// batch (the engine applies one batch as many per-triangle steps, and
+// membership is only required to be consistent between batches).
+// Removal transitions arrive while the edge and its triangles are still
+// present, which is what lets dependents be found here rather than by a
+// pre-mutation hook.
 func (te *TrackedEngine) observe(eid, old, new int32) {
 	te.ensureCap()
 	te.markDirty(eid)
@@ -114,61 +115,9 @@ func containsSorted(s []int32, x int32) bool {
 	return ok
 }
 
-// InsertEdge inserts {u, v} and repairs membership. It reports whether
-// the edge was new.
-func (te *TrackedEngine) InsertEdge(u, v graph.Vertex) bool {
-	ok := te.Engine.InsertEdge(u, v)
-	te.repair()
-	return ok
-}
-
-// DeleteEdge removes {u, v} and repairs membership. It reports whether
-// the edge existed.
-func (te *TrackedEngine) DeleteEdge(u, v graph.Vertex) bool {
-	ok := te.Engine.DeleteEdge(u, v)
-	te.repair()
-	return ok
-}
-
-// InsertEdgeE and DeleteEdgeE are the Edge-value forms.
-func (te *TrackedEngine) InsertEdgeE(e graph.Edge) bool { return te.InsertEdge(e.U, e.V) }
-
-// DeleteEdgeE removes a canonical edge; see DeleteEdge.
-func (te *TrackedEngine) DeleteEdgeE(e graph.Edge) bool { return te.DeleteEdge(e.U, e.V) }
-
-// RemoveVertex deletes v and its incident edges, repairing membership.
-func (te *TrackedEngine) RemoveVertex(v graph.Vertex) bool {
-	ok := te.Engine.RemoveVertex(v)
-	te.repair()
-	return ok
-}
-
-// ApplyBatch applies a batch of edge operations and repairs membership
-// once at the end, so edges touched by several operations of the batch are
-// rebuilt a single time.
-func (te *TrackedEngine) ApplyBatch(ops []EdgeOp) (added, removed int) {
-	added, removed = te.Engine.ApplyBatch(ops)
-	te.repair()
-	return added, removed
-}
-
-// ApplyBatchParallel applies a batch with parallel κ maintenance and
-// repairs membership once at the end. Membership repair itself stays
-// serial: the observer marks dirty edges during the epoch's merge phase,
-// which already runs on the coordinator alone.
-func (te *TrackedEngine) ApplyBatchParallel(ops []EdgeOp, workers int) (added, removed int) {
-	added, removed = te.Engine.ApplyBatchParallel(ops, workers)
-	te.repair()
-	return added, removed
-}
-
-// ApplyDiff applies a snapshot diff with membership maintained.
-func (te *TrackedEngine) ApplyDiff(d graph.Diff) {
-	te.Engine.ApplyDiff(d)
-	te.repair()
-}
-
-// repair rebuilds the witness lists of all dirty edges.
+// repair rebuilds the witness lists of all dirty edges. It is the
+// engine's end-of-batch hook, so every mutation — through the
+// TrackedEngine or its embedded Engine — leaves membership consistent.
 func (te *TrackedEngine) repair() {
 	for _, eid := range te.dirty {
 		te.dirtyMark[eid] = false

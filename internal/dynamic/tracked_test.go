@@ -129,9 +129,48 @@ func TestTrackedCommunityCollapse(t *testing.T) {
 	}
 	te := NewTrackedEngine(g)
 	for _, e := range g.Edges() {
-		te.DeleteEdgeE(e)
+		te.DeleteEdge(e.U, e.V)
 		if err := te.CheckInvariants(); err != nil {
 			t.Fatalf("after deleting %v: %v", e, err)
 		}
+	}
+}
+
+// TestTrackedRepairsOnEveryPath mutates a tracked engine through the
+// embedded Engine as well as the tracked method set, and checks the
+// membership contract after each write: repair is the engine's
+// end-of-batch hook, not something each entry point must remember.
+func TestTrackedRepairsOnEveryPath(t *testing.T) {
+	// K5 on 1..5 minus {1, 3}: inserting {1, 3} closes it, lifting every
+	// edge to κ = 3.
+	g := graph.New()
+	for i := graph.Vertex(1); i <= 5; i++ {
+		for j := i + 1; j <= 5; j++ {
+			if i != 1 || j != 3 {
+				g.AddEdge(i, j)
+			}
+		}
+	}
+	te := NewTrackedEngine(g)
+	check := func(step string) {
+		t.Helper()
+		if err := te.CheckInvariants(); err != nil {
+			t.Fatalf("after %s: %v", step, err)
+		}
+	}
+	te.Engine.ApplyBatch([]EdgeOp{{U: 1, V: 3}})
+	if k, _ := te.Kappa(graph.NewEdge(1, 3)); k != 3 {
+		t.Fatalf("κ(1-3) = %d after closing K5, want 3", k)
+	}
+	check("Engine.ApplyBatch")
+
+	te.ApplyBatchParallel([]EdgeOp{{U: 1, V: 6}, {U: 2, V: 6}, {U: 3, V: 6}, {U: 4, V: 5, Del: true}}, 4)
+	check("ApplyBatchParallel")
+	te.RemoveVertex(2)
+	check("RemoveVertex")
+	te.ApplyDiff(graph.DiffGraphs(te.Graph(), graph.FromPairs(1, 3, 3, 4, 1, 4, 4, 6, 1, 6, 3, 6, 7, 8)))
+	check("ApplyDiff")
+	if k, _ := te.Kappa(graph.NewEdge(1, 3)); k != 2 {
+		t.Fatalf("κ(1-3) = %d in the final K4, want 2", k)
 	}
 }

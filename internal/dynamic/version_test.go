@@ -71,6 +71,12 @@ func TestEngineVersionSemantics(t *testing.T) {
 	if en.RemoveVertex(100) || en.Version() != v+2 {
 		t.Fatal("removing an absent vertex must not bump")
 	}
+	// A vertex with edges: one step for its deletion batch, however many
+	// edges it had, and one for the vertex.
+	v = en.Version()
+	if !en.RemoveVertex(1) || en.Version() != v+2 {
+		t.Fatalf("removing a vertex with edges: version %d, want %d", en.Version(), v+2)
+	}
 }
 
 // TestFreezeViewProjectsKappa checks FreezeView after churn: the static

@@ -1,8 +1,9 @@
 // Package obs is trikcore's zero-dependency observability layer: an
 // atomic metrics registry with Prometheus text-format exposition, a
-// lightweight span/phase timer for annotating algorithm phases, and
-// nothing else — no third-party client, no background goroutines, no
-// global state.
+// lightweight span/phase timer for annotating algorithm phases (whose
+// StartStage form also records the stage into a flight-recorder trace,
+// see obs/trace), and nothing else — no third-party client, no
+// background goroutines, no global state.
 //
 // The design goal is that instrumentation is injectable and free when
 // absent. Every metric handle (*Counter, *Gauge, *Histogram) is nil-safe:

@@ -109,22 +109,25 @@ type Feed struct {
 	subsGauge *obs.Gauge
 }
 
-// subscriberBuffer is each subscriber's channel depth. A consumer that
-// falls more than this many events behind while the feed keeps
-// publishing is dropped (Done closes) rather than allowed to backpressure
-// the write path.
+// subscriberBuffer is each subscriber's channel depth, counted in
+// publications: one write's events travel as one element however many
+// there are. A consumer that falls more than this many publications
+// behind while the feed keeps publishing is dropped (Done closes) rather
+// than allowed to backpressure the write path.
 const subscriberBuffer = 64
 
 // Subscriber is one live feed consumer.
 type Subscriber struct {
-	// C delivers events in id order. It is never closed; watch Done.
-	C <-chan Event
+	// C delivers each publication's events as one slice, in id order.
+	// The slice is shared with other subscribers and must not be
+	// modified. C is never closed; watch Done.
+	C <-chan []Event
 	// Done closes when the subscriber is dropped (slow consumer), the
 	// feed closes (graph deleted or server shutting down), or
 	// Unsubscribe is called.
 	Done <-chan struct{}
 
-	ch   chan Event
+	ch   chan []Event
 	done chan struct{}
 	feed *Feed
 }
@@ -142,7 +145,7 @@ func newFeed(capacity int) *Feed {
 // subscriber. On a closed feed the subscriber's Done is already closed.
 func (f *Feed) Subscribe(lastID uint64) ([]Event, *Subscriber) {
 	sub := &Subscriber{
-		ch:   make(chan Event, subscriberBuffer),
+		ch:   make(chan []Event, subscriberBuffer),
 		done: make(chan struct{}),
 		feed: f,
 	}
@@ -217,9 +220,9 @@ func (f *Feed) Close() {
 }
 
 // publish diffs prev → cur, records the resulting events and fans them
-// out to live subscribers, returning how many events were recorded. A
-// subscriber whose buffer is full is dropped on the spot: the feed
-// never blocks the write path on a slow consumer.
+// out to live subscribers as one channel element, returning how many
+// events were recorded. A subscriber whose buffer is full is dropped on
+// the spot: the feed never blocks the write path on a slow consumer.
 func (f *Feed) publish(prev, cur *view.Snapshot) int {
 	defer watchdog.Start("registry.Feed.publish")()
 	f.mu.Lock()
@@ -247,18 +250,9 @@ func (f *Feed) publish(prev, cur *view.Snapshot) int {
 		f.ring = append(f.ring[:0], f.ring[excess:]...)
 	}
 	for sub := range f.subs {
-		delivered := true
-		for _, ev := range evs {
-			select {
-			case sub.ch <- ev:
-			default:
-				delivered = false
-			}
-			if !delivered {
-				break
-			}
-		}
-		if !delivered {
+		select {
+		case sub.ch <- evs:
+		default:
 			f.dropLocked(sub)
 		}
 	}

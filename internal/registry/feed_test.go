@@ -15,8 +15,8 @@ func collect(sub *Subscriber) []Event {
 	var out []Event
 	for {
 		select {
-		case ev := <-sub.C:
-			out = append(out, ev)
+		case evs := <-sub.C:
+			out = append(out, evs...)
 		default:
 			return out
 		}
@@ -211,6 +211,43 @@ func TestFeedDropsSlowConsumer(t *testing.T) {
 	}
 	if evs := collect(fresh); len(evs) != 1 {
 		t.Fatalf("fresh subscriber got %d events, want 1", len(evs))
+	}
+}
+
+// TestFeedDeliversBurstWhole checks that one publication's events travel
+// as one buffered element: a subscriber that has not read yet receives
+// all 70 events of a 70-edge write — more than subscriberBuffer — in id
+// order, and is not dropped.
+func TestFeedDeliversBurstWhole(t *testing.T) {
+	r := New(Config{})
+	sp, err := r.Create("g", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, sub := sp.Feed().Subscribe(0)
+	defer sp.Feed().Unsubscribe(sub)
+	const n = 70
+	ops := make([]dynamic.EdgeOp, 0, n)
+	for i := 0; i < n; i++ {
+		base := graph.Vertex(100 * (i + 1))
+		ops = append(ops, add(base, base+1))
+	}
+	if _, _, err := sp.Apply(ops); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-sub.Done:
+		t.Fatal("subscriber dropped by a single publication")
+	default:
+	}
+	evs := collect(sub)
+	if len(evs) != n {
+		t.Fatalf("got %d events, want %d", len(evs), n)
+	}
+	for i, ev := range evs {
+		if ev.ID != uint64(i+1) || ev.Kind != KindKappa {
+			t.Fatalf("event %d = id %d kind %s, want id %d kind %s", i, ev.ID, ev.Kind, i+1, KindKappa)
+		}
 	}
 }
 

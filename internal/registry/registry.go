@@ -9,10 +9,10 @@
 // A Space is one hosted graph: its Publisher (the single-writer snapshot
 // pipeline of internal/view), its bookmark slot (the POST /snapshot
 // surface, now per graph), its Feed, and its quota configuration. All
-// mutations go through Space.Apply, which checks quotas against the live
-// engine under the writer lock — a rejected batch provably mutates
-// nothing — and hands every effective publication to the feed as a
-// (previous, current) snapshot pair.
+// mutations go through Space.ApplyContext, which checks quotas against
+// the live engine under the writer lock — a rejected batch provably
+// mutates nothing — and hands every effective publication to the feed as
+// a (previous, current) snapshot pair.
 //
 // Per-graph metrics land on the shared obs registry under a `graph`
 // label whose distinct-value set is bounded by an obs.LabelCap: the
@@ -22,6 +22,7 @@
 package registry
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"regexp"
@@ -96,9 +97,9 @@ type Config struct {
 	MaxGraphs int
 	// Quotas apply to every space the registry creates.
 	Quotas Quotas
-	// Workers > 1 routes each space's batches through the engine's
-	// parallel apply path with that worker count (snapshots are
-	// byte-identical at any setting).
+	// Workers is each space's publisher worker count (see
+	// view.Publisher.SetWorkers): > 1 applies batches on the engine's
+	// parallel path (snapshots are byte-identical at any setting).
 	Workers int
 	// Registry, when non-nil, receives per-graph metrics under a bounded
 	// `graph` label.
@@ -243,14 +244,15 @@ func (r *Registry) commit(name string, sp *Space) {
 	sp.syncSizeMetrics(sp.Acquire())
 }
 
-// newSpace wires one space: publisher, feed, and labeled metric handles.
+// newSpace wires one space: publisher (with the configured worker
+// count), feed, and labeled metric handles.
 func (r *Registry) newSpace(name string, pub *view.Publisher) *Space {
+	pub.SetWorkers(r.cfg.Workers)
 	sp := &Space{
-		name:    name,
-		pub:     pub,
-		workers: r.cfg.Workers,
-		quotas:  r.cfg.Quotas,
-		feed:    newFeed(r.cfg.FeedCapacity),
+		name:   name,
+		pub:    pub,
+		quotas: r.cfg.Quotas,
+		feed:   newFeed(r.cfg.FeedCapacity),
 	}
 	if reg := r.cfg.Registry; reg != nil {
 		lbl := obs.Labels{"graph": r.labelCap.Value(name)}
@@ -370,10 +372,9 @@ type Space struct {
 	// wmu serializes quota-checked writes so the feed always sees
 	// contiguous (previous, current) snapshot pairs; readers never take
 	// it (Acquire stays one atomic load).
-	wmu     sync.Mutex
-	workers int
-	quotas  Quotas
-	feed    *Feed
+	wmu    sync.Mutex
+	quotas Quotas
+	feed   *Feed
 	// bookmark is the snapshot pinned by POST /snapshot for this graph;
 	// nil until the first bookmark.
 	bookmark atomic.Pointer[view.Snapshot]
@@ -384,8 +385,8 @@ type Space struct {
 func (sp *Space) Name() string { return sp.name }
 
 // Publisher exposes the underlying publisher for callers that need the
-// full view API (Mutate and friends). Quota enforcement only covers
-// Apply; direct publisher mutations bypass it.
+// full view API (Mutate and friends). Quota enforcement and the change
+// feed only cover Space writes; direct publisher mutations bypass them.
 func (sp *Space) Publisher() *view.Publisher { return sp.pub }
 
 // Feed returns the space's change feed.
@@ -404,43 +405,36 @@ func (sp *Space) SetBookmark(sn *view.Snapshot) { sp.bookmark.Store(sn) }
 // (0 = the caller's default).
 func (sp *Space) MaxBodyBytes() int64 { return sp.quotas.MaxBodyBytes }
 
-// Apply applies one batch of edge operations with quota enforcement.
-// The check runs against the live engine under the writer lock and is
-// exact: it overlays the batch (last op per edge wins, the ApplyBatch
-// contract) over current membership and counts the final vertex and
-// edge deltas, so a rejected batch has provably touched nothing — no
-// partial application, no snapshot, no version bump. On success the
-// effective change (if any) is published and handed to the feed.
+// Apply is ApplyContext untraced.
 func (sp *Space) Apply(ops []dynamic.EdgeOp) (added, removed int, err error) {
-	return sp.ApplyTraced(ops, nil)
+	return sp.ApplyContext(context.Background(), ops)
 }
 
-// ApplyTraced is Apply with a flight-recorder trace riding the batch: the
-// whole quota-check + mutate + feed-publish path is spanned, and the
-// trace flows into the publisher (and from there the engine's stage
-// spans). A nil tr is exactly Apply.
-func (sp *Space) ApplyTraced(ops []dynamic.EdgeOp, tr *trace.Trace) (added, removed int, err error) {
+// ApplyContext applies one batch of edge operations with quota
+// enforcement. The check runs as the publisher's check callback, against
+// the live engine under the writer lock, and is exact: it overlays the
+// batch (last op per edge wins, the ApplyBatch contract) over current
+// membership and counts the final vertex and edge deltas, so a rejected
+// batch has provably touched nothing — no partial application, no
+// snapshot, no version bump. On success the effective change (if any)
+// is published and handed to the feed. A flight-recorder trace carried
+// by ctx spans the whole call and rides on into the publisher and the
+// engine.
+func (sp *Space) ApplyContext(ctx context.Context, ops []dynamic.EdgeOp) (added, removed int, err error) {
 	sp.wmu.Lock()
 	defer sp.wmu.Unlock()
 	defer watchdog.Start("registry.Space.Apply")()
-	tsp := tr.StartSpan("space.apply", "registry")
+	tr := trace.FromContext(ctx)
+	defer tr.StartSpan("space.apply", "registry").End()
 	prev := sp.pub.Acquire()
-	cur := sp.pub.MutateTraced(func(en *dynamic.Engine) {
-		if err = sp.quotas.check(en, ops); err != nil {
-			return
-		}
-		if sp.workers > 1 {
-			added, removed = en.ApplyBatchParallel(ops, sp.workers)
-		} else {
-			added, removed = en.ApplyBatch(ops)
-		}
-	}, tr)
+	added, removed, err = sp.pub.ApplyContext(ctx, ops, func(en *dynamic.Engine) error {
+		return sp.quotas.check(en, ops)
+	})
 	if err != nil {
 		sp.mt.quotaRejections.Inc()
-		tsp.End()
 		return 0, 0, err
 	}
-	if cur != prev {
+	if cur := sp.pub.Acquire(); cur != prev {
 		sp.mt.publishes.Inc()
 		sp.syncSizeMetrics(cur)
 		fsp := tr.StartSpan("feed.publish", "registry")
@@ -449,7 +443,6 @@ func (sp *Space) ApplyTraced(ops []dynamic.EdgeOp, tr *trace.Trace) (added, remo
 		}
 		fsp.End()
 	}
-	tsp.End()
 	return added, removed, nil
 }
 

@@ -108,16 +108,6 @@ func New(g *graph.Graph) *Server {
 // Registry exposes the graph-space registry (CLI preloading, tests).
 func (s *Server) Registry() *registry.Registry { return s.reg }
 
-// defaultSpace returns the default graph space, panicking if it was
-// deleted — internal shorthand for paths that predate multi-tenancy.
-func (s *Server) defaultSpace() *registry.Space {
-	sp, ok := s.reg.Get(registry.DefaultGraph)
-	if !ok {
-		panic("server: default graph deleted")
-	}
-	return sp
-}
-
 // Close terminates every space's change feed, unblocking all SSE
 // handlers — call it before http.Server.Shutdown so streams drain
 // instead of riding out the shutdown timeout.
@@ -485,7 +475,7 @@ func (s *Server) handleEdges(w http.ResponseWriter, r *http.Request) {
 	}
 	var rep EdgesReply
 	var err error
-	rep.Added, rep.Removed, err = sp.ApplyTraced(req.ops(), trace.FromContext(r.Context()))
+	rep.Added, rep.Removed, err = sp.ApplyContext(r.Context(), req.ops())
 	if err != nil {
 		var qe *registry.QuotaError
 		if errors.As(err, &qe) {

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"trikcore/internal/graph"
+	"trikcore/internal/registry"
 )
 
 // newTestServer builds a server over a K5 plus a pendant path and returns
@@ -29,6 +30,16 @@ func newTestServer(t *testing.T) (*Server, *httptest.Server) {
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 	return s, ts
+}
+
+// defaultSpace returns the server's default graph space, panicking if it
+// was deleted.
+func (s *Server) defaultSpace() *registry.Space {
+	sp, ok := s.reg.Get(registry.DefaultGraph)
+	if !ok {
+		panic("server: default graph deleted")
+	}
+	return sp
 }
 
 func getJSON(t *testing.T, url string, out any) int {

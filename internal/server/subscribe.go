@@ -82,17 +82,10 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 			return
 		case <-sub.Done:
 			return
-		case ev := <-sub.C:
-			writeSSE(w, ev.ID, ev.Kind, ev.Data)
-			// Drain whatever else is already queued before flushing, so a
-			// burst costs one flush instead of one per event.
-			for drained := false; !drained; {
-				select {
-				case ev := <-sub.C:
-					writeSSE(w, ev.ID, ev.Kind, ev.Data)
-				default:
-					drained = true
-				}
+		case evs := <-sub.C:
+			// One publication, one flush.
+			for _, ev := range evs {
+				writeSSE(w, ev.ID, ev.Kind, ev.Data)
 			}
 			flusher.Flush()
 		}

@@ -1,6 +1,7 @@
 package view
 
 import (
+	"context"
 	"sync"
 	"sync/atomic"
 
@@ -19,9 +20,8 @@ type Publisher struct {
 	mu  sync.Mutex
 	en  *dynamic.Engine // trikcheck:guardedby mu
 	cur atomic.Pointer[Snapshot]
-	// workers, when > 1, routes Apply through the engine's parallel batch
-	// path (ApplyBatchParallel) with that worker count. Zero or one keeps
-	// the serial ApplyBatch. Guarded by mu like the engine itself.
+	// workers is the worker count every batch applies with (see
+	// SetWorkers). Guarded by mu like the engine itself.
 	workers int // trikcheck:guardedby mu
 	// mt, when non-nil (see Instrument), records publish latency and
 	// counts; published snapshots carry it for memo accounting.
@@ -29,9 +29,9 @@ type Publisher struct {
 }
 
 // NewPublisher wraps an engine, taking ownership of it: the caller must
-// not mutate en directly afterwards (use Apply/Mutate), or published
-// snapshots would silently go stale. The initial state is published
-// immediately.
+// not mutate en directly afterwards (use ApplyContext/Mutate), or
+// published snapshots would silently go stale. The initial state is
+// published immediately.
 func NewPublisher(en *dynamic.Engine) *Publisher {
 	p := &Publisher{en: en}
 	p.cur.Store(p.freeze(nil))
@@ -49,88 +49,80 @@ func NewPublisherFromGraph(g *graph.Graph) *Publisher {
 // consistent view is needed and re-Acquire for freshness.
 func (p *Publisher) Acquire() *Snapshot { return p.cur.Load() }
 
-// SetWorkers opts the write path into parallel batch application with n
-// workers (n <= 1 keeps the serial path). The final state published for
-// any batch is identical either way — the parallel path is
-// byte-deterministic across worker counts — so this is purely a
-// throughput knob for multi-core hosts.
+// SetWorkers sets the worker count every batch applies with: n > 1 runs
+// the engine's parallel epoch path with n workers, n <= 1 the serial
+// path. The final state published for any batch is identical either way
+// — the parallel path is byte-deterministic across worker counts — so
+// this is purely a throughput knob for multi-core hosts.
 func (p *Publisher) SetWorkers(n int) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.workers = n
 }
 
-// Apply applies one batch of edge operations and, if the batch
-// effectively changed the graph, freezes and publishes a new snapshot
-// before returning. Concurrent writers serialize; readers are never
-// blocked. Like ApplyBatch it panics on self-loop ops (validate first),
-// with the engine untouched.
+// Apply is ApplyContext with no trace and no check.
 func (p *Publisher) Apply(ops []dynamic.EdgeOp) (added, removed int) {
-	return p.ApplyTraced(ops, nil)
+	added, removed, _ = p.ApplyContext(context.Background(), ops, nil)
+	return added, removed
 }
 
-// ApplyTraced is Apply with a flight-recorder trace riding the batch: the
-// engine emits its stage spans into tr, and the publish itself is spanned.
-// A nil tr is exactly Apply. The trace is attached to the engine only for
-// the duration of the call, under the writer mutex, so concurrent traced
-// writers never see each other's traces.
-func (p *Publisher) ApplyTraced(ops []dynamic.EdgeOp, tr *trace.Trace) (added, removed int) {
+// ApplyContext is the publisher's write path. Under the writer mutex it
+// runs check, when non-nil, against the live engine — an error rejects
+// the batch with nothing applied and is returned as is — then applies
+// the batch with the publisher's worker count and, if it effectively
+// changed the graph, freezes and publishes a new snapshot before
+// returning. Concurrent writers serialize; readers are never blocked. A
+// flight-recorder trace carried by ctx receives the publisher.apply and
+// publisher.publish spans and, through ctx, the engine's stage spans.
+// Like ApplyBatch it panics on self-loop ops, with the engine untouched.
+func (p *Publisher) ApplyContext(ctx context.Context, ops []dynamic.EdgeOp, check func(*dynamic.Engine) error) (added, removed int, err error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	defer watchdog.Start("view.Publisher.Apply")()
-	sp := tr.StartSpan("publisher.apply", "view")
-	p.en.SetTrace(tr)
-	before := p.en.Version()
-	if p.workers > 1 {
-		added, removed = p.en.ApplyBatchParallel(ops, p.workers)
-	} else {
-		added, removed = p.en.ApplyBatch(ops)
+	tr := trace.FromContext(ctx)
+	defer tr.StartSpan("publisher.apply", "view").End()
+	if check != nil {
+		if err = check(p.en); err != nil {
+			return 0, 0, err
+		}
 	}
-	p.en.SetTrace(nil)
+	before := p.en.Version()
+	added, removed = p.en.ApplyBatchContext(ctx, ops, p.workers)
 	if p.en.Version() != before {
 		p.cur.Store(p.freeze(tr))
 	}
-	sp.End()
-	return added, removed
+	return added, removed, nil
 }
 
 // Mutate runs fn on the engine under the writer lock and republishes if
 // fn effectively changed the graph (per Engine.Version), returning the
-// snapshot current at exit. It is the escape hatch for vertex-level and
-// composite mutations; fn must not retain the engine.
+// snapshot current at exit. It is the escape hatch for vertex-level
+// mutations; edge batches go through ApplyContext. fn must not retain
+// the engine.
 func (p *Publisher) Mutate(fn func(en *dynamic.Engine)) *Snapshot {
-	return p.MutateTraced(fn, nil)
-}
-
-// MutateTraced is Mutate with a flight-recorder trace riding the
-// mutation, under the same attach/detach discipline as ApplyTraced.
-func (p *Publisher) MutateTraced(fn func(en *dynamic.Engine), tr *trace.Trace) *Snapshot {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	defer watchdog.Start("view.Publisher.Mutate")()
-	sp := tr.StartSpan("publisher.mutate", "view")
-	p.en.SetTrace(tr)
 	before := p.en.Version()
 	fn(p.en)
-	p.en.SetTrace(nil)
 	if p.en.Version() != before {
-		p.cur.Store(p.freeze(tr))
+		p.cur.Store(p.freeze(nil))
 	}
-	sp.End()
 	return p.cur.Load()
 }
 
 // freeze builds a Snapshot of the engine's current state. Callers hold
-// mu (or are the constructor, before the Publisher escapes). tr, when
-// non-nil, receives a publish span alongside the publish-latency metric.
+// mu (or are the constructor, before the Publisher escapes). One stage
+// timer feeds the publish-latency histogram and, when tr is non-nil, the
+// publisher.publish span.
 //
 //trikcheck:locked
 func (p *Publisher) freeze(tr *trace.Trace) *Snapshot {
-	var sp obs.Span
+	var h *obs.Histogram
 	if p.mt != nil {
-		sp = obs.StartSpan(p.mt.publishSeconds)
+		h = p.mt.publishSeconds
 	}
-	tsp := tr.StartSpan("publisher.publish", "view")
+	sp := obs.StartStage(h, tr, "publisher.publish", "view")
 	s, kappa := p.en.FreezeView()
 	maxK := p.en.MaxKappa()
 	hist := make([]int, maxK+1)
@@ -146,9 +138,8 @@ func (p *Publisher) freeze(tr *trace.Trace) *Snapshot {
 		Updates: p.en.Stats(),
 		mt:      p.mt,
 	}
-	tsp.End()
+	sp.End()
 	if p.mt != nil {
-		sp.End()
 		p.mt.publishesTotal.Inc()
 		p.mt.snapshotVersion.Set(int64(sn.Version))
 	}
