@@ -6,7 +6,7 @@
 //
 //	trikcore stats     -in graph.txt
 //	trikcore decompose -in graph.txt [-top 10] [-k 3]
-//	trikcore decompose -in graph.tkcg -external -mem-budget 262144
+//	trikcore decompose -in graph.tkcg -external -mem-budget 262144 [-k 3]
 //	trikcore plot      -in graph.txt [-format ascii|svg] [-out plot.svg]
 //	trikcore update    -in graph.txt -ops ops.txt
 //	trikcore template  -old old.txt -new new.txt -pattern new-form|bridge|new-join
@@ -20,7 +20,8 @@
 //	                   [-max-vertices N] [-max-edges N] [-max-body-bytes N]
 //	                   [-shutdown-timeout 5s]
 //
-// Edge-list files hold one "u v" pair per line ('#' comments allowed).
+// Edge-list files hold one "u v" pair of non-negative vertex ids per
+// line ('#' comments allowed).
 // Ops files hold one "+ u v" or "- u v" per line.
 package main
 
@@ -43,6 +44,7 @@ import (
 	"time"
 
 	"trikcore"
+	"trikcore/internal/core"
 	"trikcore/internal/obs/trace"
 	"trikcore/internal/server"
 )
@@ -110,44 +112,30 @@ func cmdDecompose(args []string) error {
 	fs := flag.NewFlagSet("decompose", flag.ContinueOnError)
 	in := fs.String("in", "", "input file (.txt edge list or .tkcg CSR)")
 	top := fs.Int("top", 10, "print the top-N edges by κ")
-	k := fs.Int("k", -1, "also list triangle-connected communities at level k (in-memory only)")
+	k := fs.Int("k", -1, "also list triangle-connected communities at level k")
 	external := fs.Bool("external", false, "out-of-core decomposition: partitioned bottom-up peel under -mem-budget")
 	memBudget := fs.Int64("mem-budget", 0, "resident peel-state budget in bytes for -external (0 = unbounded)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if *external {
-		if *k >= 0 {
-			return fmt.Errorf("community listing (-k) needs the in-memory path; drop -external")
-		}
-		return decomposeExternal(*in, *memBudget, *top)
+		return decomposeExternal(*in, *memBudget, *top, *k)
 	}
 	g, err := loadGraphFile(*in)
 	if err != nil {
 		return err
 	}
 	d := trikcore.Decompose(g)
-	printKappaHistogram(d.KappaHistogram())
-	var all []edgeKappa
-	for e, kv := range d.EdgeKappas() {
-		all = append(all, edgeKappa{e, kv})
-	}
-	printTopEdges(all, *top)
-	if *k >= 0 {
-		comms := d.Communities(int32(*k))
-		fmt.Printf("communities at k=%d: %d\n", *k, len(comms))
-		for i, c := range comms {
-			fmt.Printf("  community %d: %d edges\n", i+1, len(c))
-		}
-	}
+	printKappaReport(d.S, d.Kappa, *top, *k)
 	return nil
 }
 
 // decomposeExternal is the -external arm of cmdDecompose: .tkcg inputs
-// are mmap'd (never parsed onto the heap), the peel runs partitioned
-// under the byte budget, and the κ report is formatted exactly like the
-// in-memory arm so the two can be diffed.
-func decomposeExternal(in string, budget int64, top int) error {
+// are mmap'd (never parsed onto the heap) and the peel runs partitioned
+// under the byte budget. Only the peel differs from the in-memory arm;
+// the report is the same function of (view, κ), so the two can be
+// diffed.
+func decomposeExternal(in string, budget int64, top, k int) error {
 	s, closer, err := loadStaticFile(in)
 	if err != nil {
 		return err
@@ -159,17 +147,7 @@ func decomposeExternal(in string, budget int64, top int) error {
 	if err != nil {
 		return err
 	}
-	hist := make(map[int32]int)
-	for _, kv := range res.Kappa {
-		hist[kv]++
-	}
-	printKappaHistogram(hist)
-	all := make([]edgeKappa, len(res.Kappa))
-	for i, kv := range res.Kappa {
-		u, v := s.Endpoints(int32(i))
-		all[i] = edgeKappa{trikcore.Edge{U: s.OrigID[u], V: s.OrigID[v]}, int(kv)}
-	}
-	printTopEdges(all, top)
+	printKappaReport(s, res.Kappa, top, k)
 	st := res.Stats
 	fmt.Fprintf(os.Stderr,
 		"trikcore: external peel: %d partitions, %d levels, %d sweeps, %d activations, %d spill records (%d bytes), peak resident %d bytes\n",
@@ -211,7 +189,16 @@ func loadStaticFile(path string) (*trikcore.StaticGraph, interface{ Close() erro
 	return trikcore.FreezeGraph(g), nil, nil
 }
 
-func printKappaHistogram(hist map[int32]int) {
+// printKappaReport prints the κ distribution, the top-N edges by κ
+// (ties by edge) and, for k ≥ 0, the level-k communities of a frozen
+// view under κ indexed by its edge ids — whichever peel produced κ.
+func printKappaReport(s *trikcore.StaticGraph, kappa []int32, top, k int) {
+	hist := make(map[int32]int)
+	all := make([]edgeKappa, len(kappa))
+	for i, kv := range kappa {
+		hist[kv]++
+		all[i] = edgeKappa{s.EdgeAt(int32(i)), kv}
+	}
 	var ks []int32
 	for kv := range hist {
 		ks = append(ks, kv)
@@ -221,29 +208,33 @@ func printKappaHistogram(hist map[int32]int) {
 	for _, kv := range ks {
 		fmt.Printf("  κ=%-4d %d edges\n", kv, hist[kv])
 	}
-}
 
-// edgeKappa pairs an edge (original vertex ids) with its κ for the
-// top-N report.
-type edgeKappa struct {
-	e trikcore.Edge
-	k int
-}
-
-func printTopEdges(all []edgeKappa, top int) {
 	sort.Slice(all, func(i, j int) bool {
 		if all[i].k != all[j].k {
 			return all[i].k > all[j].k
 		}
 		return all[i].e.Less(all[j].e)
 	})
-	if top > len(all) {
-		top = len(all)
-	}
+	top = min(top, len(all))
 	fmt.Printf("top %d edges:\n", top)
 	for _, x := range all[:top] {
 		fmt.Printf("  %-12s κ=%d\n", x.e, x.k)
 	}
+
+	if k >= 0 {
+		comms := core.Communities(s, kappa, int32(k))
+		fmt.Printf("communities at k=%d: %d\n", k, len(comms))
+		for i, c := range comms {
+			fmt.Printf("  community %d: %d edges\n", i+1, len(c))
+		}
+	}
+}
+
+// edgeKappa pairs an edge (original vertex ids) with its κ for the
+// top-N report.
+type edgeKappa struct {
+	e trikcore.Edge
+	k int32
 }
 
 func cmdPlot(args []string) error {

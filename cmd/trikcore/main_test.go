@@ -275,8 +275,12 @@ func TestCmdDecomposeExternal(t *testing.T) {
 	if got != want {
 		t.Fatalf("resident external decompose output differs:\n%s", got)
 	}
-	if err := run([]string{"decompose", "-in", csr, "-external", "-k", "2"}); err == nil {
-		t.Fatal("-external with -k succeeded")
+	// Communities come from κ and the view alone, so -k lists the same
+	// ones whichever peel produced κ.
+	want = capture(t, "decompose", "-in", in, "-top", "3", "-k", "2")
+	got = capture(t, "decompose", "-in", csr, "-external", "-mem-budget", "1024", "-top", "3", "-k", "2")
+	if got != want || !strings.Contains(got, "communities at k=2: 1") {
+		t.Fatalf("external -k output differs from in-memory:\n--- in-memory\n%s--- external\n%s", want, got)
 	}
 }
 

@@ -119,12 +119,7 @@ func ComputeSupport(s *graph.Static, parallelism int) []int32 {
 // KappaOf returns κ(e) for a graph edge, and false if e is not an edge of
 // the decomposed graph.
 func (d *Decomposition) KappaOf(e graph.Edge) (int32, bool) {
-	u, okU := d.S.Pos[e.U]
-	v, okV := d.S.Pos[e.V]
-	if !okU || !okV {
-		return 0, false
-	}
-	i := d.S.EdgeIndex(u, v)
+	i := d.S.EdgeOf(e)
 	if i < 0 {
 		return 0, false
 	}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"slices"
 	"sort"
 
 	"trikcore/internal/graph"
@@ -21,6 +20,22 @@ func (d *Decomposition) CoreSubgraph(k int32) *graph.Graph {
 	return sub
 }
 
+// TriangleGraph is the graph surface the κ-level queries walk: live
+// dense edge ids, the external edge behind each, and the triangles
+// through an edge. The queries pair it with κ indexed by the same ids,
+// so they answer alike whichever peel or maintenance produced κ.
+// *graph.Static satisfies it; the dynamic engine adapts its live
+// substrate.
+type TriangleGraph interface {
+	// ForEachEdgeID calls fn for every live edge id.
+	ForEachEdgeID(fn func(eid int32) bool)
+	// EdgeAt returns live edge eid over external vertex ids.
+	EdgeAt(eid int32) graph.Edge
+	// ForEachTriangleOn calls fn for each triangle through edge eid,
+	// passing the third vertex and the ids of the other two edges.
+	ForEachTriangleOn(eid int32, fn func(w, e1, e2 int32) bool)
+}
+
 // MaxCoreOf returns the maximum Triangle K-Core associated with edge e
 // (Definition 4) as the triangle-connected component of e within the
 // subgraph of edges with κ ≥ κ(e). The boolean is false if e is not an
@@ -31,35 +46,70 @@ func (d *Decomposition) CoreSubgraph(k int32) *graph.Graph {
 // regions of the graph; the component is still a Triangle K-Core with
 // number κ(e) and contains e, hence maximal for e.
 func (d *Decomposition) MaxCoreOf(e graph.Edge) (*graph.Graph, bool) {
-	u, okU := d.S.Pos[e.U]
-	v, okV := d.S.Pos[e.V]
-	if !okU || !okV {
+	eid := d.S.EdgeOf(e)
+	if eid < 0 {
 		return nil, false
 	}
-	start := d.S.EdgeIndex(u, v)
-	if start < 0 {
-		return nil, false
-	}
-	k := d.Kappa[start]
-	comp := d.triangleComponent(start, k)
-	sub := graph.New()
-	for _, i := range comp {
-		sub.AddEdgeE(d.S.EdgeAt(i))
-	}
-	return sub, true
+	return graph.FromEdges(MaxCore(d.S, d.Kappa, eid)), true
 }
 
-// triangleComponent returns the edge indices reachable from start through
-// triangles whose three edges all have κ ≥ k.
-func (d *Decomposition) triangleComponent(start int32, k int32) []int32 {
-	seen := map[int32]bool{start: true}
+// Communities returns the triangle-connected components of the κ ≥ k
+// subgraph, each as a sorted list of edges, ordered by first edge. These
+// are the clique-like communities the density plots expose as plateaus.
+func (d *Decomposition) Communities(k int32) [][]graph.Edge {
+	return Communities(d.S, d.Kappa, k)
+}
+
+// MaxCore returns the maximum Triangle K-Core of edge eid of g under
+// kappa — its triangle-connected component among edges with
+// κ ≥ κ(eid) — sorted by external edge.
+func MaxCore(g TriangleGraph, kappa []int32, eid int32) []graph.Edge {
+	return component(g, kappa, eid, kappa[eid], make([]bool, len(kappa)))
+}
+
+// Communities returns the triangle-connected components of g's κ ≥ k
+// subgraph under kappa, each sorted by external edge, components ordered
+// by first edge; nil when no edge reaches level k. kappa must cover
+// every live edge id of g.
+func Communities(g TriangleGraph, kappa []int32, k int32) [][]graph.Edge {
+	type start struct {
+		e   graph.Edge
+		eid int32
+	}
+	var starts []start
+	g.ForEachEdgeID(func(eid int32) bool {
+		if kappa[eid] >= k {
+			starts = append(starts, start{g.EdgeAt(eid), eid})
+		}
+		return true
+	})
+	// Order by external edge, never by dense id: dense numbering depends
+	// on the substrate's allocation history, external edges do not, so
+	// every representation of one graph lists the same communities in
+	// the same order.
+	sort.Slice(starts, func(i, j int) bool { return starts[i].e.Less(starts[j].e) })
+	seen := make([]bool, len(kappa))
+	var comms [][]graph.Edge
+	for _, st := range starts {
+		if !seen[st.eid] {
+			comms = append(comms, component(g, kappa, st.eid, k, seen))
+		}
+	}
+	return comms
+}
+
+// component returns the edges reachable from start through triangles
+// whose three edges all carry κ ≥ k, sorted by external edge. Visited
+// edges are marked in seen (indexed by edge id), which the caller owns.
+func component(g TriangleGraph, kappa []int32, start, k int32, seen []bool) []graph.Edge {
+	seen[start] = true
 	queue := []int32{start}
-	for len(queue) > 0 {
-		ei := queue[0]
-		queue = queue[1:]
-		u, v := d.S.EdgeU[ei], d.S.EdgeV[ei]
-		d.S.ForEachTriangleEdge(u, v, func(w, e1, e2 int32) bool {
-			if d.Kappa[e1] < k || d.Kappa[e2] < k {
+	out := []graph.Edge{}
+	for head := 0; head < len(queue); head++ {
+		eid := queue[head]
+		out = append(out, g.EdgeAt(eid))
+		g.ForEachTriangleOn(eid, func(_, e1, e2 int32) bool {
+			if kappa[e1] < k || kappa[e2] < k {
 				return true
 			}
 			for _, nxt := range [2]int32{e1, e2} {
@@ -71,34 +121,8 @@ func (d *Decomposition) triangleComponent(start int32, k int32) []int32 {
 			return true
 		})
 	}
-	out := make([]int32, 0, len(seen))
-	for i := range seen {
-		out = append(out, i)
-	}
-	slices.Sort(out)
+	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
 	return out
-}
-
-// Communities returns the triangle-connected components of the κ ≥ k
-// subgraph, each as a sorted list of edges, ordered by first edge. These
-// are the clique-like communities the density plots expose as plateaus.
-func (d *Decomposition) Communities(k int32) [][]graph.Edge {
-	seen := make(map[int32]bool)
-	var comms [][]graph.Edge
-	for i := int32(0); i < int32(len(d.Kappa)); i++ {
-		if d.Kappa[i] < k || seen[i] {
-			continue
-		}
-		comp := d.triangleComponent(i, k)
-		edges := make([]graph.Edge, 0, len(comp))
-		for _, ei := range comp {
-			seen[ei] = true
-			edges = append(edges, d.S.EdgeAt(ei))
-		}
-		sort.Slice(edges, func(a, b int) bool { return edges[a].Less(edges[b]) })
-		comms = append(comms, edges)
-	}
-	return comms
 }
 
 // CoreTriangles implements the paper's Rule 1: given the processing order
@@ -110,15 +134,11 @@ func (d *Decomposition) Communities(k int32) [][]graph.Edge {
 // This is the mechanism by which the paper avoids storing per-edge core
 // membership (AddToCore / DelFromCore bookkeeping) explicitly.
 func (d *Decomposition) CoreTriangles(e graph.Edge) ([]graph.Triangle, bool) {
-	u, okU := d.S.Pos[e.U]
-	v, okV := d.S.Pos[e.V]
-	if !okU || !okV {
-		return nil, false
-	}
-	ei := d.S.EdgeIndex(u, v)
+	ei := d.S.EdgeOf(e)
 	if ei < 0 {
 		return nil, false
 	}
+	u, v := d.S.Endpoints(ei)
 	type timed struct {
 		t    graph.Triangle
 		when int32

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"slices"
-
-	"trikcore/internal/graph"
-)
+import "trikcore/internal/graph"
 
 // HierarchyNode is one community in the nested Triangle K-Core hierarchy:
 // a triangle-connected component of the κ ≥ K subgraph. Children are the
@@ -23,19 +19,7 @@ type HierarchyNode struct {
 }
 
 // Vertices returns the distinct vertices of the node's edges, sorted.
-func (n *HierarchyNode) Vertices() []graph.Vertex {
-	seen := make(map[graph.Vertex]bool, 2*len(n.Edges))
-	for _, e := range n.Edges {
-		seen[e.U] = true
-		seen[e.V] = true
-	}
-	out := make([]graph.Vertex, 0, len(seen))
-	for v := range seen {
-		out = append(out, v)
-	}
-	slices.Sort(out)
-	return out
-}
+func (n *HierarchyNode) Vertices() []graph.Vertex { return graph.VerticesOf(n.Edges) }
 
 // Size returns the number of edges in the community.
 func (n *HierarchyNode) Size() int { return len(n.Edges) }

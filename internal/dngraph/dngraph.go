@@ -167,12 +167,7 @@ func bestSupportedBinary(mins []int32, cur int32) int32 {
 
 // LambdaOf returns λ̄(e) for a graph edge and false if the edge is absent.
 func (r *Result) LambdaOf(e graph.Edge) (int32, bool) {
-	u, okU := r.S.Pos[e.U]
-	v, okV := r.S.Pos[e.V]
-	if !okU || !okV {
-		return 0, false
-	}
-	i := r.S.EdgeIndex(u, v)
+	i := r.S.EdgeOf(e)
 	if i < 0 {
 		return 0, false
 	}

@@ -3,11 +3,23 @@ package dynamic
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"trikcore/internal/core"
 	"trikcore/internal/graph"
 )
+
+// liveGraph presents the engine to core's κ-level queries: the
+// substrate's live edge ids and external edges, with triangles listed by
+// the engine's own active-triangle kernel, so a query reads the live
+// state in place — nothing is frozen or materialized.
+type liveGraph struct {
+	*graph.Dense
+	en *Engine
+}
+
+func (g liveGraph) ForEachTriangleOn(eid int32, fn func(w, e1, e2 int32) bool) {
+	g.en.forEachActiveTriangleOn(eid, fn)
+}
 
 // MaxCoreOf returns the maximum Triangle K-Core of edge e in the current
 // graph — the triangle-connected component of e among edges with
@@ -18,11 +30,7 @@ func (en *Engine) MaxCoreOf(e graph.Edge) (*graph.Graph, bool) {
 	if eid < 0 {
 		return nil, false
 	}
-	sub := graph.New()
-	for _, ce := range en.triangleComponent(eid, en.kappa[eid], make([]bool, en.d.EdgeCap())) {
-		sub.AddEdgeE(ce)
-	}
-	return sub, true
+	return graph.FromEdges(core.MaxCore(liveGraph{en.d, en}, en.kappa, eid)), true
 }
 
 // Communities returns the triangle-connected components of the κ ≥ k
@@ -30,54 +38,7 @@ func (en *Engine) MaxCoreOf(e graph.Edge) (*graph.Graph, bool) {
 // ordered by first edge — the dynamic counterpart of
 // core.Decomposition.Communities.
 func (en *Engine) Communities(k int32) [][]graph.Edge {
-	type start struct {
-		e   graph.Edge
-		eid int32
-	}
-	var starts []start
-	en.d.ForEachEdgeID(func(eid int32) bool {
-		if en.kappa[eid] >= k {
-			starts = append(starts, start{en.d.EdgeAt(eid), eid})
-		}
-		return true
-	})
-	sort.Slice(starts, func(i, j int) bool { return starts[i].e.Less(starts[j].e) })
-	seen := make([]bool, en.d.EdgeCap())
-	var comms [][]graph.Edge
-	for _, s := range starts {
-		if seen[s.eid] {
-			continue
-		}
-		comms = append(comms, en.triangleComponent(s.eid, k, seen))
-	}
-	return comms
-}
-
-// triangleComponent returns the edges reachable from start through
-// triangles whose three edges all carry κ ≥ k, sorted. Visited edges are
-// marked in seen (indexed by dense edge id), which the caller owns.
-func (en *Engine) triangleComponent(start int32, k int32, seen []bool) []graph.Edge {
-	seen[start] = true
-	queue := []int32{start}
-	out := []graph.Edge{}
-	for head := 0; head < len(queue); head++ {
-		eid := queue[head]
-		out = append(out, en.d.EdgeAt(eid))
-		en.forEachActiveTriangleOn(eid, func(_, e1, e2 int32) bool {
-			if en.kappa[e1] < k || en.kappa[e2] < k {
-				return true
-			}
-			for _, nxt := range [2]int32{e1, e2} {
-				if !seen[nxt] {
-					seen[nxt] = true
-					queue = append(queue, nxt)
-				}
-			}
-			return true
-		})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
-	return out
+	return core.Communities(liveGraph{en.d, en}, en.kappa, k)
 }
 
 // RuleOneWitness reconstructs a maximum Triangle K-Core witness for e —

@@ -6,9 +6,9 @@
 // merge, split, form and dissolve.
 //
 // Communities are the triangle-connected components of the κ ≥ k
-// subgraph (core.Decomposition.Communities / dynamic.Engine.Communities);
-// two snapshots' community lists are matched by vertex overlap and each
-// structural change is reported as an Event.
+// subgraph (core.Communities, over a decomposition, a published snapshot
+// or the live engine); two snapshots' community lists are matched by
+// vertex overlap and each structural change is reported as an Event.
 package events
 
 import (
@@ -98,23 +98,22 @@ func (o Options) normalized() Options {
 	return o
 }
 
-// CommunitiesAt extracts the level-k communities of a snapshot.
+// CommunitiesAt extracts the level-k communities of a snapshot; nil
+// when it has none.
 func CommunitiesAt(g *graph.Graph, k int32) []Community {
-	d := core.Decompose(g)
-	var out []Community
-	for _, edges := range d.Communities(k) {
-		seen := make(map[graph.Vertex]bool)
-		var verts []graph.Vertex
-		for _, e := range edges {
-			for _, v := range [2]graph.Vertex{e.U, e.V} {
-				if !seen[v] {
-					seen[v] = true
-					verts = append(verts, v)
-				}
-			}
-		}
-		slices.Sort(verts)
-		out = append(out, Community{Vertices: verts, Edges: len(edges)})
+	return CommunitiesOf(core.Decompose(g).Communities(k))
+}
+
+// CommunitiesOf converts communities given as edge lists — the form the
+// κ queries return — to vertex-set form, keeping their order. A nil
+// list converts to nil, an empty one to an empty one.
+func CommunitiesOf(comms [][]graph.Edge) []Community {
+	if comms == nil {
+		return nil
+	}
+	out := make([]Community, len(comms))
+	for i, edges := range comms {
+		out[i] = Community{Vertices: graph.VerticesOf(edges), Edges: len(edges)}
 	}
 	return out
 }

@@ -30,8 +30,14 @@ import (
 // version 2 files that fail the CRC or truncate mid-payload report
 // ErrCorrupt.
 
-// WriteBinary writes g in the binary snapshot format (TKCG v2).
+// WriteBinary writes g in the binary snapshot format (TKCG v2). The
+// format stores vertex ids as unsigned gaps, so a graph holding a
+// negative id is refused before anything is written.
 func WriteBinary(w io.Writer, g *Graph) error {
+	verts := g.Vertices()
+	if len(verts) > 0 && verts[0] < 0 {
+		return fmt.Errorf("graph: writing binary: negative vertex id %d", verts[0])
+	}
 	bw := bufio.NewWriter(w)
 	h := crc32.NewIEEE()
 	mw := io.MultiWriter(bw, h)
@@ -45,7 +51,6 @@ func WriteBinary(w io.Writer, g *Graph) error {
 		_, err := mw.Write(buf[:n])
 		return err
 	}
-	verts := g.Vertices()
 	if err := putUvarint(uint64(len(verts))); err != nil {
 		return fmt.Errorf("graph: writing vertex count: %w", err)
 	}

@@ -57,6 +57,20 @@ func TestBinaryEmptyGraph(t *testing.T) {
 	}
 }
 
+// TestWriteBinaryRejectsNegativeIDs: the snapshot codec stores ids as
+// unsigned gaps, so a graph holding a negative id must be refused with
+// nothing written rather than produce a file ReadBinary rejects.
+func TestWriteBinaryRejectsNegativeIDs(t *testing.T) {
+	g := FromPairs(-3, 1, 1, 2)
+	var buf bytes.Buffer
+	if err := WriteBinary(&buf, g); err == nil {
+		t.Fatal("WriteBinary accepted a negative vertex id")
+	}
+	if buf.Len() != 0 {
+		t.Fatalf("WriteBinary wrote %d bytes before refusing", buf.Len())
+	}
+}
+
 func TestBinarySmallerThanText(t *testing.T) {
 	g := randomGraph(200, 0.1, 3)
 	var bin, txt bytes.Buffer

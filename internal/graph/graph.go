@@ -382,6 +382,16 @@ func (g *Graph) Clone() *Graph {
 	return c
 }
 
+// VerticesOf returns the distinct endpoints of edges, sorted ascending.
+func VerticesOf(edges []Edge) []Vertex {
+	out := make([]Vertex, 0, 2*len(edges))
+	for _, e := range edges {
+		out = append(out, e.U, e.V)
+	}
+	slices.Sort(out)
+	return slices.Clip(slices.Compact(out))
+}
+
 // FromEdges builds a graph from a list of edges; duplicate edges are
 // ignored.
 func FromEdges(edges []Edge) *Graph {

@@ -14,10 +14,11 @@ import (
 // calling fn once per edge line without accumulating anything: the
 // caller decides whether edges land in a Graph, a degree counter or an
 // on-disk builder, so inputs larger than RAM parse in constant memory.
-// Each non-empty line holds two integer vertex ids; lines starting with
-// '#' or '%' are comments. Duplicate edges and both orientations of the
-// same edge are passed through as-is; self-loops are rejected. If fn
-// returns an error the scan stops and that error is returned.
+// Each non-empty line holds two non-negative integer vertex ids; lines
+// starting with '#' or '%' are comments. Duplicate edges and both
+// orientations of the same edge are passed through as-is; negative ids
+// and self-loops are rejected. If fn returns an error the scan stops and
+// that error is returned.
 func ReadEdgeListFunc(r io.Reader, fn func(u, v Vertex) error) error {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
@@ -39,6 +40,9 @@ func ReadEdgeListFunc(r io.Reader, fn func(u, v Vertex) error) error {
 		v, err := strconv.ParseInt(fields[1], 10, 32)
 		if err != nil {
 			return fmt.Errorf("graph: line %d: bad vertex %q: %w", lineNo, fields[1], err)
+		}
+		if u < 0 || v < 0 {
+			return fmt.Errorf("graph: line %d: negative vertex id in %q", lineNo, line)
 		}
 		if u == v {
 			return fmt.Errorf("graph: line %d: self-loop on vertex %d", lineNo, u)

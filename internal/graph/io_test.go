@@ -29,6 +29,8 @@ func TestReadEdgeListErrors(t *testing.T) {
 		{"bad first vertex", "x 2\n"},
 		{"bad second vertex", "1 y\n"},
 		{"self loop", "3 3\n"},
+		{"negative first vertex", "-3 2\n"},
+		{"negative second vertex", "1 -2\n"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

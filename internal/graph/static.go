@@ -279,9 +279,31 @@ func (s *Static) EdgeIndex(u, v int32) int32 {
 	return -1
 }
 
+// EdgeOf returns the dense index of edge e, given over original vertex
+// ids, or -1 if e is not an edge of the view.
+func (s *Static) EdgeOf(e Edge) int32 {
+	u, okU := s.Pos[e.U]
+	v, okV := s.Pos[e.V]
+	if !okU || !okV {
+		return -1
+	}
+	return s.EdgeIndex(u, v)
+}
+
 // EdgeAt returns edge i as a canonical Edge over original vertex ids.
 func (s *Static) EdgeAt(i int32) Edge {
 	return NewEdge(s.OrigID[s.EdgeU[i]], s.OrigID[s.EdgeV[i]])
+}
+
+// ForEachEdgeID calls fn for every edge index in ascending order — all
+// of 0..NumEdges-1, since a frozen view has no free slots. If fn
+// returns false the iteration stops.
+func (s *Static) ForEachEdgeID(fn func(i int32) bool) {
+	for i := range s.EdgeU {
+		if !fn(int32(i)) { //trikcheck:checked i < m, bounded to int32 at freeze
+			return
+		}
+	}
 }
 
 // Degree returns the degree of the vertex at dense position u.
@@ -346,6 +368,11 @@ func (s *Static) ForEachTriangleEdge(u, v int32, fn func(w, e1, e2 int32) bool) 
 			j++
 		}
 	}
+}
+
+// ForEachTriangleOn is ForEachTriangleEdge over the endpoints of edge i.
+func (s *Static) ForEachTriangleOn(i int32, fn func(w, e1, e2 int32) bool) {
+	s.ForEachTriangleEdge(s.EdgeU[i], s.EdgeV[i], fn)
 }
 
 // ForEachOrientedTriangle calls fn for each triangle whose two

@@ -103,9 +103,8 @@ type Feed struct {
 	nextID uint64                   // trikcheck:guardedby mu — id the next event will get; ids start at 1
 	ring   []Event                  // trikcheck:guardedby mu
 	subs   map[*Subscriber]struct{} // trikcheck:guardedby mu
-	// capacity and subsGauge are set once in newFeed/newSpace before the
-	// feed escapes; immutable thereafter.
-	capacity  int
+	// subsGauge is set once in newSpace before the feed escapes;
+	// immutable thereafter.
 	subsGauge *obs.Gauge
 }
 
@@ -132,11 +131,8 @@ type Subscriber struct {
 	feed *Feed
 }
 
-func newFeed(capacity int) *Feed {
-	if capacity <= 0 {
-		capacity = DefaultFeedCapacity
-	}
-	return &Feed{capacity: capacity, subs: make(map[*Subscriber]struct{})}
+func newFeed() *Feed {
+	return &Feed{subs: make(map[*Subscriber]struct{})}
 }
 
 // Subscribe registers a consumer, arming the feed if this is its first
@@ -246,7 +242,7 @@ func (f *Feed) publish(prev, cur *view.Snapshot) int {
 	}
 	f.nextID += uint64(len(evs))
 	f.ring = append(f.ring, evs...)
-	if excess := len(f.ring) - f.capacity; excess > 0 {
+	if excess := len(f.ring) - DefaultFeedCapacity; excess > 0 {
 		f.ring = append(f.ring[:0], f.ring[excess:]...)
 	}
 	for sub := range f.subs {

@@ -151,7 +151,7 @@ func TestFeedPatternEvents(t *testing.T) {
 }
 
 func TestFeedResumeAndRingEviction(t *testing.T) {
-	r := New(Config{FeedCapacity: 4})
+	r := New(Config{})
 	sp, err := r.Create("g", nil)
 	if err != nil {
 		t.Fatal(err)
@@ -159,27 +159,40 @@ func TestFeedResumeAndRingEviction(t *testing.T) {
 	_, arm := sp.Feed().Subscribe(0)
 	sp.Feed().Unsubscribe(arm)
 
-	// Ten single-edge publications in disjoint regions: one event each.
-	for i := 0; i < 10; i++ {
-		base := graph.Vertex(100 * (i + 1))
+	// Disjoint edges yield one event each: a first publication fills the
+	// ring exactly, then six single-edge publications push the six
+	// oldest events out.
+	const extra = 6
+	fill := make([]dynamic.EdgeOp, 0, DefaultFeedCapacity)
+	for i := 0; i < DefaultFeedCapacity; i++ {
+		base := graph.Vertex(10 * (i + 1))
+		fill = append(fill, add(base, base+1))
+	}
+	if _, _, err := sp.Apply(fill); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < extra; i++ {
+		base := graph.Vertex(10 * (DefaultFeedCapacity + i + 1))
 		if _, _, err := sp.Apply([]dynamic.EdgeOp{add(base, base+1)}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if id := sp.Feed().LastID(); id != 10 {
-		t.Fatalf("LastID = %d, want 10", id)
+	last := uint64(DefaultFeedCapacity + extra)
+	if id := sp.Feed().LastID(); id != last {
+		t.Fatalf("LastID = %d, want %d", id, last)
 	}
-	// Resume from 7: ids 8..10 are retained and replayed.
-	replay, sub := sp.Feed().Subscribe(7)
+	// Resume three events back: exactly those are retained and replayed.
+	replay, sub := sp.Feed().Subscribe(last - 3)
 	sp.Feed().Unsubscribe(sub)
-	if len(replay) != 3 || replay[0].ID != 8 || replay[2].ID != 10 {
-		t.Fatalf("resume from 7 replayed %+v", replay)
+	if len(replay) != 3 || replay[0].ID != last-2 || replay[2].ID != last {
+		t.Fatalf("resume from %d replayed %+v", last-3, replay)
 	}
-	// Resume from 0: the ring only holds the last 4.
+	// Resume from 0: the ring only holds the last DefaultFeedCapacity.
 	replay, sub = sp.Feed().Subscribe(0)
 	sp.Feed().Unsubscribe(sub)
-	if len(replay) != 4 || replay[0].ID != 7 {
-		t.Fatalf("full replay %+v, want ids 7..10", replay)
+	if len(replay) != DefaultFeedCapacity || replay[0].ID != extra+1 || replay[len(replay)-1].ID != last {
+		t.Fatalf("full replay holds %d events from id %d, want %d from id %d",
+			len(replay), replay[0].ID, DefaultFeedCapacity, extra+1)
 	}
 }
 

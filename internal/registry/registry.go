@@ -16,9 +16,9 @@
 //
 // Per-graph metrics land on the shared obs registry under a `graph`
 // label whose distinct-value set is bounded by an obs.LabelCap: the
-// first MaxGraphLabels names keep their own series, later ones share the
-// "_other" overflow bucket, so a tenant churning through graph names
-// cannot grow the /metrics exposition without limit.
+// first DefaultMaxGraphLabels names keep their own series, later ones
+// share the "_other" overflow bucket, so a tenant churning through graph
+// names cannot grow the /metrics exposition without limit.
 package registry
 
 import (
@@ -101,23 +101,21 @@ type Config struct {
 	// view.Publisher.SetWorkers): > 1 applies batches on the engine's
 	// parallel path (snapshots are byte-identical at any setting).
 	Workers int
-	// Registry, when non-nil, receives per-graph metrics under a bounded
-	// `graph` label.
+	// Registry, when non-nil, receives per-graph metrics under a
+	// `graph` label bounded to DefaultMaxGraphLabels values.
 	Registry *obs.Registry
-	// MaxGraphLabels bounds the distinct `graph` label values
-	// (0 = DefaultMaxGraphLabels); later names share obs.Overflow.
-	MaxGraphLabels int
-	// FeedCapacity is each space's event ring size
-	// (0 = DefaultFeedCapacity); subscribers more than this many events
-	// behind a resume point lose the evicted prefix.
-	FeedCapacity int
 }
 
-// Config defaults.
 const (
-	DefaultMaxGraphs      = 64
+	// DefaultMaxGraphs is the space cap when Config.MaxGraphs is zero.
+	DefaultMaxGraphs = 64
+	// DefaultMaxGraphLabels bounds the distinct `graph` label values;
+	// later names share obs.Overflow.
 	DefaultMaxGraphLabels = 32
-	DefaultFeedCapacity   = 1024
+	// DefaultFeedCapacity is each space's event ring size: subscribers
+	// more than this many events behind a resume point lose the evicted
+	// prefix.
+	DefaultFeedCapacity = 1024
 )
 
 // Registry is the concurrency-safe name → Space map. The zero value is
@@ -140,15 +138,9 @@ func New(cfg Config) *Registry {
 	if cfg.MaxGraphs == 0 {
 		cfg.MaxGraphs = DefaultMaxGraphs
 	}
-	if cfg.MaxGraphLabels == 0 {
-		cfg.MaxGraphLabels = DefaultMaxGraphLabels
-	}
-	if cfg.FeedCapacity == 0 {
-		cfg.FeedCapacity = DefaultFeedCapacity
-	}
 	r := &Registry{cfg: cfg, spaces: make(map[string]*Space)}
 	if cfg.Registry != nil {
-		r.labelCap = obs.NewLabelCap(cfg.MaxGraphLabels)
+		r.labelCap = obs.NewLabelCap(DefaultMaxGraphLabels)
 		r.graphs = cfg.Registry.Gauge("trikcore_registry_graphs",
 			"Graph spaces currently hosted.", nil)
 		r.created = cfg.Registry.Counter("trikcore_registry_graphs_created_total",
@@ -252,7 +244,7 @@ func (r *Registry) newSpace(name string, pub *view.Publisher) *Space {
 		name:   name,
 		pub:    pub,
 		quotas: r.cfg.Quotas,
-		feed:   newFeed(r.cfg.FeedCapacity),
+		feed:   newFeed(),
 	}
 	if reg := r.cfg.Registry; reg != nil {
 		lbl := obs.Labels{"graph": r.labelCap.Value(name)}
@@ -385,8 +377,8 @@ type Space struct {
 func (sp *Space) Name() string { return sp.name }
 
 // Publisher exposes the underlying publisher for callers that need the
-// full view API (Mutate and friends). Quota enforcement and the change
-// feed only cover Space writes; direct publisher mutations bypass them.
+// full view API. Quota enforcement and the change feed only cover Space
+// writes; direct publisher writes bypass them.
 func (sp *Space) Publisher() *view.Publisher { return sp.pub }
 
 // Feed returns the space's change feed.

@@ -225,8 +225,9 @@ func TestCloseRejectsCreates(t *testing.T) {
 
 func TestPerGraphMetricsBounded(t *testing.T) {
 	reg := obs.NewRegistry()
-	r := New(Config{Registry: reg, MaxGraphLabels: 2, MaxGraphs: -1})
-	for i := 0; i < 6; i++ {
+	r := New(Config{Registry: reg, MaxGraphs: -1})
+	const graphs = DefaultMaxGraphLabels + 1
+	for i := 0; i < graphs; i++ {
 		if _, err := r.Create(fmt.Sprintf("g%d", i), k5()); err != nil {
 			t.Fatal(err)
 		}
@@ -238,13 +239,13 @@ func TestPerGraphMetricsBounded(t *testing.T) {
 			series++
 		}
 	}
-	if series != 3 { // g0, g1, _other
-		t.Fatalf("trikcore_graph_edges has %d series, want 3:\n%s", series, expo)
+	if series != DefaultMaxGraphLabels+1 { // the admitted names, then _other
+		t.Fatalf("trikcore_graph_edges has %d series, want %d:\n%s", series, DefaultMaxGraphLabels+1, expo)
 	}
 	if !strings.Contains(expo, `trikcore_graph_edges{graph="_other"}`) {
 		t.Fatalf("overflow series missing:\n%s", expo)
 	}
-	if !strings.Contains(expo, "trikcore_registry_graphs 6") {
+	if !strings.Contains(expo, fmt.Sprintf("trikcore_registry_graphs %d", graphs)) {
 		t.Fatalf("registry gauge wrong:\n%s", expo)
 	}
 }

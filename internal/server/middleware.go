@@ -45,11 +45,6 @@ type Options struct {
 	MaxGraphs int
 	// Quotas bound every hosted graph space (zero fields = unlimited).
 	Quotas registry.Quotas
-	// MaxGraphLabels bounds the distinct `graph` metric label values
-	// (0 = registry.DefaultMaxGraphLabels); later graph names share the
-	// obs.Overflow bucket so metric cardinality cannot grow without
-	// limit.
-	MaxGraphLabels int
 	// Trace, when non-nil, turns on the per-request flight recorder:
 	// every API request runs under a trace whose spans follow it through
 	// registry, publisher and engine, the retained rings are exported as
@@ -64,7 +59,8 @@ type Options struct {
 // runs with its phases timed and both the engine and the publisher of
 // the default graph are instrumented against that registry before the
 // first snapshot is served; additional graph spaces get per-graph
-// trikcore_graph_* series instead (bounded by MaxGraphLabels).
+// trikcore_graph_* series instead (bounded by
+// registry.DefaultMaxGraphLabels).
 func NewWith(g *graph.Graph, opts Options) *Server {
 	var pub *view.Publisher
 	if opts.Registry != nil {
@@ -80,11 +76,10 @@ func NewWith(g *graph.Graph, opts Options) *Server {
 		pub = view.NewPublisherFromGraph(g)
 	}
 	reg := registry.New(registry.Config{
-		MaxGraphs:      opts.MaxGraphs,
-		Quotas:         opts.Quotas,
-		Workers:        opts.Workers,
-		Registry:       opts.Registry,
-		MaxGraphLabels: opts.MaxGraphLabels,
+		MaxGraphs: opts.MaxGraphs,
+		Quotas:    opts.Quotas,
+		Workers:   opts.Workers,
+		Registry:  opts.Registry,
 	})
 	if _, err := reg.Adopt(registry.DefaultGraph, pub); err != nil {
 		// A fresh registry with a valid constant name cannot refuse.

@@ -65,7 +65,6 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
-	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -422,8 +421,9 @@ type EdgesReply struct {
 }
 
 // decodeEdgesBody reads and validates an EdgesRequest from r under the
-// space's body-size quota, writing the error envelope (413 on an
-// oversized body, 400 otherwise) itself on failure.
+// space's body-size quota — vertex ids must be non-negative and pairs
+// distinct — writing the error envelope (413 on an oversized body, 400
+// otherwise) itself on failure.
 func decodeEdgesBody(w http.ResponseWriter, r *http.Request, limit int64) (EdgesRequest, bool) {
 	if limit <= 0 {
 		limit = maxEdgesBody
@@ -441,6 +441,10 @@ func decodeEdgesBody(w http.ResponseWriter, r *http.Request, limit int64) (Edges
 	}
 	for _, pairs := range [2][][2]graph.Vertex{req.Add, req.Remove} {
 		for _, p := range pairs {
+			if p[0] < 0 || p[1] < 0 {
+				httpError(w, http.StatusBadRequest, "negative vertex id in [%d,%d]", p[0], p[1])
+				return req, false
+			}
 			if p[0] == p[1] {
 				httpError(w, http.StatusBadRequest, "self-loop on vertex %d", p[0])
 				return req, false
@@ -517,17 +521,10 @@ func (s *Server) handleCore(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, "edge %v not in graph", e)
 		return
 	}
-	rep := CoreReply{Kappa: k}
-	seen := map[graph.Vertex]bool{}
+	rep := CoreReply{Kappa: k, Vertices: graph.VerticesOf(edges)}
 	for _, ce := range edges {
 		rep.Edges = append(rep.Edges, [2]graph.Vertex{ce.U, ce.V})
-		seen[ce.U] = true
-		seen[ce.V] = true
 	}
-	for v := range seen {
-		rep.Vertices = append(rep.Vertices, v)
-	}
-	slices.Sort(rep.Vertices)
 	writeJSON(w, rep)
 }
 

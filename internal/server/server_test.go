@@ -134,6 +134,30 @@ func TestEdgesBadRequests(t *testing.T) {
 	}
 }
 
+// TestEdgesRejectNegativeIDs pins the write boundary's id check: graph
+// vertex ids are non-negative (no TKCG file can hold another), so a
+// negative id in a write body is a 400 JSON envelope that leaves the
+// version where it was, and a seed body carrying one creates no graph.
+func TestEdgesRejectNegativeIDs(t *testing.T) {
+	s, ts := newTestServer(t)
+	v0 := s.defaultSpace().Acquire().Version
+	for _, body := range []string{`{"add":[[-3,1]]}`, `{"remove":[[1,-2]]}`} {
+		got := mustStatus(t, http.MethodPost, ts.URL+"/edges", body, http.StatusBadRequest)
+		var env struct {
+			Error  string `json:"error"`
+			Status int    `json:"status"`
+		}
+		if err := json.Unmarshal(got, &env); err != nil || env.Status != 400 || !strings.Contains(env.Error, "negative vertex id") {
+			t.Fatalf("body %s: envelope %q (%v)", body, got, err)
+		}
+	}
+	if v := s.defaultSpace().Acquire().Version; v != v0 {
+		t.Fatalf("rejected write moved version %d -> %d", v0, v)
+	}
+	mustStatus(t, http.MethodPost, ts.URL+"/g/neg", `{"add":[[1,2],[-1,3]]}`, http.StatusBadRequest)
+	mustStatus(t, http.MethodGet, ts.URL+"/g/neg/stats", "", http.StatusNotFound)
+}
+
 func TestCore(t *testing.T) {
 	_, ts := newTestServer(t)
 	var rep CoreReply

@@ -1,8 +1,7 @@
 package view
 
 import (
-	"sort"
-
+	"trikcore/internal/core"
 	"trikcore/internal/events"
 	"trikcore/internal/graph"
 	"trikcore/internal/plot"
@@ -87,76 +86,20 @@ func (sn *Snapshot) PlotASCII() []byte {
 // form legacy consumers (the dual-view builder) want. Computed once per
 // version. Shared; do not mutate.
 func (sn *Snapshot) Graph() *graph.Graph {
-	return sn.Memo(keyGraph, func() any {
-		g := graph.NewWithCapacity(sn.S.NumVertices())
-		for _, v := range sn.S.OrigID {
-			g.AddVertex(v)
-		}
-		for i := range sn.S.EdgeU {
-			g.AddEdgeE(sn.S.EdgeAt(int32(i)))
-		}
-		return g
-	}).(*graph.Graph)
+	return sn.Memo(keyGraph, func() any { return sn.S.Materialize() }).(*graph.Graph)
 }
 
 // Communities returns the triangle-connected components of the κ ≥ k
 // subgraph, each a sorted edge list, components ordered by first edge —
-// the snapshot counterpart of dynamic.Engine.Communities, memoized per
-// (snapshot, k). Shared; do not mutate.
+// core.Communities over the frozen view, memoized per (snapshot, k); an
+// empty level is an empty, non-nil list. Shared; do not mutate.
 func (sn *Snapshot) Communities(k int32) [][]graph.Edge {
 	return sn.Memo(commsKey(k), func() any {
-		type start struct {
-			e   graph.Edge
-			eid int32
+		if comms := core.Communities(sn.S, sn.Kappa, k); comms != nil {
+			return comms
 		}
-		var starts []start
-		for i := range sn.Kappa {
-			if sn.Kappa[i] >= k {
-				starts = append(starts, start{sn.S.EdgeAt(int32(i)), int32(i)})
-			}
-		}
-		// Order by external edge, never by dense id: dense numbering
-		// depends on the substrate's allocation history, external edges
-		// do not, so republished bodies stay byte-identical.
-		sort.Slice(starts, func(i, j int) bool { return starts[i].e.Less(starts[j].e) })
-		seen := make([]bool, len(sn.Kappa))
-		comms := [][]graph.Edge{}
-		for _, st := range starts {
-			if seen[st.eid] {
-				continue
-			}
-			comms = append(comms, sn.triangleComponent(st.eid, k, seen))
-		}
-		return comms
+		return [][]graph.Edge{}
 	}).([][]graph.Edge)
-}
-
-// triangleComponent returns the edges reachable from start through
-// triangles whose three edges all carry κ ≥ k, sorted by external edge.
-// Visited edges are marked in seen (indexed by dense edge id), which the
-// caller owns.
-func (sn *Snapshot) triangleComponent(start, k int32, seen []bool) []graph.Edge {
-	seen[start] = true
-	queue := []int32{start}
-	out := []graph.Edge{}
-	for head := 0; head < len(queue); head++ {
-		eid := queue[head]
-		out = append(out, sn.S.EdgeAt(eid))
-		sn.S.ForEachTriangleEdge(sn.S.EdgeU[eid], sn.S.EdgeV[eid], func(_, e1, e2 int32) bool {
-			if sn.Kappa[e1] < k || sn.Kappa[e2] < k {
-				return true
-			}
-			for _, nxt := range [2]int32{e1, e2} {
-				if !seen[nxt] {
-					seen[nxt] = true
-					queue = append(queue, nxt)
-				}
-			}
-			return true
-		})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
-	return out
 }
 
 // CoreOf returns the maximum Triangle K-Core of e — the
@@ -165,12 +108,11 @@ func (sn *Snapshot) triangleComponent(start, k int32, seen []bool) []graph.Edge 
 // edge of the snapshot. Not memoized (the argument space is the edge
 // set); runs lock-free on the frozen view.
 func (sn *Snapshot) CoreOf(e graph.Edge) ([]graph.Edge, int32, bool) {
-	eid := sn.EdgeID(e)
+	eid := sn.S.EdgeOf(e)
 	if eid < 0 {
 		return nil, 0, false
 	}
-	k := sn.Kappa[eid]
-	return sn.triangleComponent(eid, k, make([]bool, len(sn.Kappa))), k, true
+	return core.MaxCore(sn.S, sn.Kappa, eid), sn.Kappa[eid], true
 }
 
 // CommunitiesAt returns the level-k communities in the events package's
@@ -179,23 +121,7 @@ func (sn *Snapshot) CoreOf(e graph.Edge) ([]graph.Edge, int32, bool) {
 // do not mutate.
 func (sn *Snapshot) CommunitiesAt(k int32) []events.Community {
 	return sn.Memo(commListKey(k), func() any {
-		comms := sn.Communities(k)
-		out := []events.Community{}
-		for _, edges := range comms {
-			seen := make(map[graph.Vertex]bool)
-			var verts []graph.Vertex
-			for _, e := range edges {
-				for _, v := range [2]graph.Vertex{e.U, e.V} {
-					if !seen[v] {
-						seen[v] = true
-						verts = append(verts, v)
-					}
-				}
-			}
-			sort.Slice(verts, func(i, j int) bool { return verts[i] < verts[j] })
-			out = append(out, events.Community{Vertices: verts, Edges: len(edges)})
-		}
-		return out
+		return events.CommunitiesOf(sn.Communities(k))
 	}).([]events.Community)
 }
 

@@ -29,9 +29,9 @@ type Publisher struct {
 }
 
 // NewPublisher wraps an engine, taking ownership of it: the caller must
-// not mutate en directly afterwards (use ApplyContext/Mutate), or
-// published snapshots would silently go stale. The initial state is
-// published immediately.
+// not mutate en directly afterwards (use ApplyContext), or published
+// snapshots would silently go stale. The initial state is published
+// immediately.
 func NewPublisher(en *dynamic.Engine) *Publisher {
 	p := &Publisher{en: en}
 	p.cur.Store(p.freeze(nil))
@@ -92,23 +92,6 @@ func (p *Publisher) ApplyContext(ctx context.Context, ops []dynamic.EdgeOp, chec
 		p.cur.Store(p.freeze(tr))
 	}
 	return added, removed, nil
-}
-
-// Mutate runs fn on the engine under the writer lock and republishes if
-// fn effectively changed the graph (per Engine.Version), returning the
-// snapshot current at exit. It is the escape hatch for vertex-level
-// mutations; edge batches go through ApplyContext. fn must not retain
-// the engine.
-func (p *Publisher) Mutate(fn func(en *dynamic.Engine)) *Snapshot {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	defer watchdog.Start("view.Publisher.Mutate")()
-	before := p.en.Version()
-	fn(p.en)
-	if p.en.Version() != before {
-		p.cur.Store(p.freeze(nil))
-	}
-	return p.cur.Load()
 }
 
 // freeze builds a Snapshot of the engine's current state. Callers hold

@@ -105,20 +105,9 @@ func (sn *Snapshot) MaxCliqueProxy() int32 {
 	return sn.MaxK + 2
 }
 
-// EdgeID resolves a canonical edge over external vertex ids to the
-// snapshot's dense edge id, or -1 when absent.
-func (sn *Snapshot) EdgeID(e graph.Edge) int32 {
-	u, okU := sn.S.Pos[e.U]
-	v, okV := sn.S.Pos[e.V]
-	if !okU || !okV {
-		return -1
-	}
-	return sn.S.EdgeIndex(u, v)
-}
-
 // KappaOf returns κ(e) and whether e is an edge of the snapshot.
 func (sn *Snapshot) KappaOf(e graph.Edge) (int32, bool) {
-	eid := sn.EdgeID(e)
+	eid := sn.S.EdgeOf(e)
 	if eid < 0 {
 		return 0, false
 	}

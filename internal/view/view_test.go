@@ -61,15 +61,6 @@ func TestPublisherPublicationProtocol(t *testing.T) {
 	if _, ok := sn0.KappaOf(graph.NewEdge(10, 12)); ok {
 		t.Fatal("old snapshot sees a later edge")
 	}
-
-	// Mutate with vertex ops: republish; Mutate with a no-op: not.
-	sn2 := p.Mutate(func(en *dynamic.Engine) { en.AddVertex(99) })
-	if sn2 == sn1 || sn2.NumVertices() != sn1.NumVertices()+1 {
-		t.Fatal("vertex Mutate did not republish")
-	}
-	if sn3 := p.Mutate(func(en *dynamic.Engine) { en.AddVertex(99) }); sn3 != sn2 {
-		t.Fatal("no-op Mutate republished")
-	}
 }
 
 // TestSnapshotMatchesEngine drives a Publisher and a bare engine through
