@@ -310,6 +310,9 @@ func cmdUpdate(args []string) error {
 		if err1 != nil || err2 != nil {
 			return fmt.Errorf("ops line %d: bad vertex", line)
 		}
+		if u < 0 || v < 0 {
+			return fmt.Errorf("ops line %d: negative vertex id", line)
+		}
 		if u == v {
 			return fmt.Errorf("ops line %d: self-loop on vertex %d", line, u)
 		}

@@ -109,6 +109,21 @@ func TestCmdUpdate(t *testing.T) {
 	}
 }
 
+// TestCmdUpdateRejectsNegativeIDs holds the ops file to the rule of the
+// edge-list parser, POST /edges and WriteBinary: vertex ids are
+// non-negative.
+func TestCmdUpdateRejectsNegativeIDs(t *testing.T) {
+	dir := t.TempDir()
+	in := writeFile(t, dir, "g.txt", k5edges)
+	for _, op := range []string{"+ -1 2", "- 3 -4"} {
+		ops := writeFile(t, dir, "ops.txt", "+ 6 1\n"+op+"\n")
+		err := run([]string{"update", "-in", in, "-ops", ops})
+		if err == nil || err.Error() != "ops line 2: negative vertex id" {
+			t.Fatalf("ops %q: err = %v, want ops line 2: negative vertex id", op, err)
+		}
+	}
+}
+
 func TestCmdTemplate(t *testing.T) {
 	dir := t.TempDir()
 	old := writeFile(t, dir, "old.txt", "1 10\n2 11\n3 12\n4 13\n")

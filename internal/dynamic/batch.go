@@ -75,9 +75,11 @@ func canonicalizeOps(ops []EdgeOp, buf []EdgeOp) []EdgeOp {
 // goroutines (parallel.go); the result is identical at any worker count.
 // A flight-recorder trace carried by ctx receives one span per stage,
 // timed by the same call that feeds the stage histograms. The version
-// advances once iff the batch changed the graph. It panics on self-loop
-// operations, with the engine untouched.
+// advances once iff the batch changed the graph, and BatchChanges logs
+// exactly this batch's transitions. It panics on self-loop operations,
+// with the engine untouched.
 func (en *Engine) ApplyBatchContext(ctx context.Context, ops []EdgeOp, workers int) (added, removed int) {
+	en.changes = en.changes[:0]
 	if len(ops) == 0 {
 		return 0, 0
 	}

@@ -148,3 +148,45 @@ func TestTrackedApplyBatch(t *testing.T) {
 		}
 	}
 }
+
+// TestBatchChangesSurviveSlotReuse pins why the change log is keyed by
+// external edge: in one serial batch the deletion of 1-2 frees its dense
+// slot and the insertion of 4-5 takes it over, yet the netted log still
+// reports the two edges apart, together with the demotions the deletion
+// caused.
+func TestBatchChangesSurviveSlotReuse(t *testing.T) {
+	en := NewEngine(graph.FromPairs(1, 2, 2, 3, 1, 3, 4, 6))
+	slot := en.d.EdgeIDV(1, 2)
+	en.ApplyBatch([]EdgeOp{{U: 1, V: 2, Del: true}, {U: 4, V: 5}})
+	if got := en.d.EdgeIDV(4, 5); got != slot {
+		t.Fatalf("4-5 took dense slot %d, want the freed slot %d of 1-2", got, slot)
+	}
+	want := []KappaChange{
+		{E: graph.NewEdge(1, 2), From: 1, To: -1},
+		{E: graph.NewEdge(1, 3), From: 1, To: 0},
+		{E: graph.NewEdge(2, 3), From: 1, To: 0},
+		{E: graph.NewEdge(4, 5), From: -1, To: 0},
+	}
+	if got := NetChanges(en.BatchChanges()); !reflect.DeepEqual(got, want) {
+		t.Fatalf("netted log = %v, want %v", got, want)
+	}
+}
+
+// TestBatchChangesResetOnNoOp checks that every batch starts a fresh log:
+// a batch that changes nothing leaves it empty rather than carrying the
+// previous batch's transitions.
+func TestBatchChangesResetOnNoOp(t *testing.T) {
+	en := NewEngine(graph.FromPairs(1, 2, 2, 3))
+	en.ApplyBatch([]EdgeOp{{U: 1, V: 3}})
+	if len(en.BatchChanges()) == 0 {
+		t.Fatal("effective batch logged no transitions")
+	}
+	v := en.Version()
+	en.ApplyBatch([]EdgeOp{{U: 1, V: 2}, {U: 7, V: 8, Del: true}})
+	if en.Version() != v {
+		t.Fatal("no-op batch moved the version")
+	}
+	if got := en.BatchChanges(); len(got) != 0 {
+		t.Fatalf("no-op batch left log %v", got)
+	}
+}

@@ -31,6 +31,9 @@
 package dynamic
 
 import (
+	"cmp"
+	"slices"
+
 	"trikcore/internal/core"
 	"trikcore/internal/graph"
 )
@@ -79,6 +82,13 @@ type Engine struct {
 	// transition and before the invariant check. TrackedEngine repairs
 	// the membership that onKappaChange marked dirty there.
 	onUpdate func()
+
+	// changes logs every transition of the current batch in firing
+	// order, keyed by external edge: within one serial batch an insertion
+	// can reuse the dense slot a deletion just freed, so dense ids cannot
+	// key it. It is reset at the start of every batch, so it never grows
+	// past one batch's transitions (see BatchChanges).
+	changes []KappaChange
 
 	// version counts effective graph changes: it moves exactly when a
 	// public mutation (or batch of them) actually changed the vertex or
@@ -160,9 +170,12 @@ func (en *Engine) setKappa(eid, old, new int32) {
 }
 
 // transition records a κ change of edge eid (old or new may be -1 for
-// edge creation/removal), maintaining the histogram, maxK and the change
-// observer. It is the single funnel every κ movement goes through.
+// edge creation/removal), maintaining the histogram, maxK, the batch's
+// change log and the change observer. It is the single funnel every κ
+// movement goes through, and every transition fires while its edge is
+// live, so the edge's endpoints are always readable here.
 func (en *Engine) transition(eid, old, new int32) {
+	en.changes = append(en.changes, KappaChange{E: en.d.EdgeAt(eid), From: old, To: new})
 	if old >= 0 {
 		en.hist[old]--
 	}
@@ -181,6 +194,49 @@ func (en *Engine) transition(eid, old, new int32) {
 	if en.onKappaChange != nil {
 		en.onKappaChange(eid, old, new)
 	}
+}
+
+// KappaChange is one κ transition of edge E: From and To are its κ
+// before and after, with -1 meaning the edge is absent (From = -1 for an
+// inserted edge, To = -1 for a deleted one).
+type KappaChange struct {
+	E        graph.Edge
+	From, To int32
+}
+
+// BatchChanges returns the raw transition log of the most recent batch,
+// in firing order; one edge may appear several times, each entry's From
+// equal to the previous entry's To. NetChanges folds it into the batch's
+// net effect. The slice aliases engine storage that the next batch
+// overwrites; copy it to keep it.
+func (en *Engine) BatchChanges() []KappaChange { return en.changes }
+
+// NetChanges folds a transition log into one entry per edge, the first
+// From and the last To, drops edges whose κ ended where it started, and
+// sorts the result by edge. For BatchChanges this is exactly the κ diff,
+// keyed by external edge, between the engine's state before and after
+// the batch. raw is not modified.
+func NetChanges(raw []KappaChange) []KappaChange {
+	out := slices.Clone(raw)
+	slices.SortStableFunc(out, func(a, b KappaChange) int {
+		if c := cmp.Compare(a.E.U, b.E.U); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.E.V, b.E.V)
+	})
+	w := 0
+	for i := 0; i < len(out); {
+		j := i
+		for j+1 < len(out) && out[j+1].E == out[i].E {
+			j++
+		}
+		if out[i].From != out[j].To {
+			out[w] = KappaChange{E: out[i].E, From: out[i].From, To: out[j].To}
+			w++
+		}
+		i = j + 1
+	}
+	return out[:w]
 }
 
 // Graph materializes the engine's current graph as a standalone snapshot;

@@ -1,6 +1,7 @@
 package dynamic
 
 import (
+	"slices"
 	"testing"
 
 	"trikcore/internal/core"
@@ -16,7 +17,9 @@ import (
 // path) and 4 (real regions, validation and the conflict suffix), plus a
 // TrackedEngine (whose witness invariants are checked too). Toggles are
 // resolved into explicit insert/delete ops against the per-op engine's
-// state, so every engine sees the same operation stream.
+// state, so every engine sees the same operation stream. After every
+// batch on every arm, the netted change log must equal the κ diff of
+// FreezeView taken before and after the batch.
 //
 // Under `-tags trikdebug` every single operation — and every parallel
 // epoch — is followed by a full CheckInvariants sweep of both the
@@ -54,9 +57,9 @@ func FuzzEngineChurn(f *testing.F) {
 			}
 		}
 		flush := func() {
-			bat.ApplyBatch(pending)
-			par1.ApplyBatchParallel(pending, 1)
-			par4.ApplyBatchParallel(pending, 4)
+			checkChangeLog(t, "batched", bat, func() { bat.ApplyBatch(pending) })
+			checkChangeLog(t, "parallel-1", par1, func() { par1.ApplyBatchParallel(pending, 1) })
+			checkChangeLog(t, "parallel-4", par4, func() { par4.ApplyBatchParallel(pending, 4) })
 			pending = pending[:0]
 			if debugChecks {
 				for name, e := range map[string]*Engine{"batched": bat, "parallel-1": par1, "parallel-4": par4} {
@@ -74,10 +77,10 @@ func FuzzEngineChurn(f *testing.F) {
 			}
 			del := en.HasEdge(u, v)
 			if del {
-				en.DeleteEdge(u, v)
+				checkChangeLog(t, "per-op", en, func() { en.DeleteEdge(u, v) })
 				te.DeleteEdge(u, v)
 			} else {
-				en.InsertEdge(u, v)
+				checkChangeLog(t, "per-op", en, func() { en.InsertEdge(u, v) })
 				te.InsertEdge(u, v)
 			}
 			assertAll(step)
@@ -118,4 +121,45 @@ func FuzzEngineChurn(f *testing.F) {
 			t.Fatalf("tracked invariants: %v (ops %v)", err, ops)
 		}
 	})
+}
+
+// checkChangeLog runs one batch through apply and checks the engine's
+// netted change log against the κ diff, keyed by external edge, of the
+// frozen views taken before and after it.
+func checkChangeLog(t *testing.T, arm string, en *Engine, apply func()) {
+	t.Helper()
+	s0, k0 := en.FreezeView()
+	apply()
+	s1, k1 := en.FreezeView()
+	old := make(map[graph.Edge]int32, len(k0))
+	for i, k := range k0 {
+		old[s0.EdgeAt(int32(i))] = k
+	}
+	var want []KappaChange
+	for i, k := range k1 {
+		e := s1.EdgeAt(int32(i))
+		ko, ok := old[e]
+		delete(old, e)
+		if !ok {
+			ko = -1
+		}
+		if ko != k {
+			want = append(want, KappaChange{E: e, From: ko, To: k})
+		}
+	}
+	for e, ko := range old {
+		want = append(want, KappaChange{E: e, From: ko, To: -1})
+	}
+	slices.SortFunc(want, func(a, b KappaChange) int {
+		if a.E.Less(b.E) {
+			return -1
+		}
+		if b.E.Less(a.E) {
+			return 1
+		}
+		return 0
+	})
+	if got := NetChanges(en.BatchChanges()); !slices.Equal(got, want) {
+		t.Fatalf("%s: netted change log %v, κ diff of the frozen views %v", arm, got, want)
+	}
 }

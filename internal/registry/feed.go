@@ -2,7 +2,6 @@ package registry
 
 import (
 	"encoding/json"
-	"sort"
 	"sync"
 
 	"trikcore/internal/graph"
@@ -13,12 +12,13 @@ import (
 )
 
 // The change feed turns snapshot publications into a totally ordered
-// event stream. Because the publisher's snapshots are immutable,
-// versioned and byte-deterministic, diffing the new snapshot's
-// maintained κ against the previous one is exact and cheap — the same
-// mechanism the /dualview endpoint already exploits — and the resulting
-// events inherit the determinism: identical publish sequences yield
-// identical event bytes, at any worker count.
+// event stream. Every published snapshot carries the change log of the
+// batch that produced it: each κ transition the engine's funnel fired,
+// keyed by external edge. Netted, that log is exactly the κ diff between
+// the previous snapshot and the new one, so a publication's events cost
+// O(batch), not O(|E|), and they inherit the snapshots' determinism:
+// identical publish sequences yield identical event bytes, at any worker
+// count.
 //
 // Event kinds:
 //
@@ -26,8 +26,12 @@ import (
 //     rose and edges that appeared (from = -1); demotions cover edges
 //     whose κ fell and edges that vanished (to = -1).
 //   - "pattern": a template-pattern clique (New Form / Bridge / New
-//     Join, Algorithm 4 over the snapshot diff) detected in the new
-//     snapshot, reported with its vertex set and co-clique height.
+//     Join, Algorithm 4) detected in the new snapshot, reported with its
+//     vertex set and co-clique height. Every characteristic triangle of
+//     the three templates holds at least two new edges, so Algorithm 4
+//     lists only the triangles on the batch's inserted edges; the density
+//     plot that picks the top cliques stays global, and runs only for a
+//     template that found a characteristic triangle.
 //
 // Events carry monotonically increasing ids, assigned in canonical
 // order (κ events sorted by edge, then pattern events by pattern and
@@ -36,10 +40,10 @@ import (
 // Last-Event-ID; older events are evicted oldest-first.
 //
 // The feed arms itself on the first subscription and then records every
-// publication permanently — diffing before the first subscriber would
-// tax every write of every graph that no one is watching, while
-// stopping when the last subscriber disconnects would tear a hole in
-// the id sequence that Last-Event-ID resume could not see.
+// publication permanently — rendering events before the first
+// subscriber would tax every write of every graph that no one is
+// watching, while stopping when the last subscriber disconnects would
+// tear a hole in the id sequence that Last-Event-ID resume could not see.
 
 // Event kind names, used as the SSE `event:` field.
 const (
@@ -215,10 +219,12 @@ func (f *Feed) Close() {
 	f.subsGauge.Set(0)
 }
 
-// publish diffs prev → cur, records the resulting events and fans them
-// out to live subscribers as one channel element, returning how many
-// events were recorded. A subscriber whose buffer is full is dropped on
-// the spot: the feed never blocks the write path on a slow consumer.
+// publish renders the events of the batch that took prev to cur,
+// records them and fans them out to live subscribers as one channel
+// element, returning how many events were recorded. cur must be the
+// snapshot published by the batch applied to prev. A subscriber whose
+// buffer is full is dropped on the spot: the feed never blocks the write
+// path on a slow consumer.
 func (f *Feed) publish(prev, cur *view.Snapshot) int {
 	defer watchdog.Start("registry.Feed.publish")()
 	f.mu.Lock()
@@ -228,9 +234,9 @@ func (f *Feed) publish(prev, cur *view.Snapshot) int {
 	}
 	f.mu.Unlock()
 
-	// The expensive diff runs outside the lock; Space.wmu already
-	// serializes publications, so id assignment below stays in order.
-	evs := diffEvents(prev, cur, f.peekNextID())
+	// Rendering runs outside the lock; Space.wmu already serializes
+	// publications, so id assignment below stays in order.
+	evs := batchEvents(prev, cur, f.peekNextID())
 	if len(evs) == 0 {
 		return 0
 	}
@@ -262,37 +268,13 @@ func (f *Feed) peekNextID() uint64 {
 	return f.nextID + 1
 }
 
-// diffEvents renders the canonical event list for the prev → cur
+// batchEvents renders the canonical event list for the prev → cur
 // publication, assigning ids from firstID. κ events come first, sorted
 // by external edge; pattern events follow in fixed template order.
-// Everything is a pure function of the two snapshots, which is what
-// makes the feed byte-deterministic across runs and worker counts.
-func diffEvents(prev, cur *view.Snapshot, firstID uint64) []Event {
-	type change struct {
-		e        graph.Edge
-		from, to int32
-	}
-	old := make(map[graph.Edge]int32, len(prev.Kappa))
-	for i, k := range prev.Kappa {
-		old[prev.S.EdgeAt(int32(i))] = k
-	}
-	var changes []change
-	for i, k := range cur.Kappa {
-		e := cur.S.EdgeAt(int32(i))
-		if ko, ok := old[e]; ok {
-			if ko != k {
-				changes = append(changes, change{e, ko, k})
-			}
-			delete(old, e)
-		} else {
-			changes = append(changes, change{e, KappaAbsent, k})
-		}
-	}
-	for e, ko := range old {
-		changes = append(changes, change{e, ko, KappaAbsent})
-	}
-	sort.Slice(changes, func(i, j int) bool { return changes[i].e.Less(changes[j].e) })
-
+// Everything is a pure function of cur's change log and, for vertex
+// novelty, prev's vertex set, which is what makes the feed
+// byte-deterministic across runs and worker counts.
+func batchEvents(prev, cur *view.Snapshot, firstID uint64) []Event {
 	var events []Event
 	id := firstID
 	push := func(kind string, payload any) {
@@ -305,36 +287,56 @@ func diffEvents(prev, cur *view.Snapshot, firstID uint64) []Event {
 		events = append(events, Event{ID: id, Kind: kind, Data: data})
 		id++
 	}
-	for _, c := range changes {
+
+	// Novelty (template.Evolving over prev → cur): an edge is new when
+	// the batch inserted it, a vertex when prev lacks it. Edge deletion
+	// never removes a vertex and only insertions create one, so only the
+	// endpoints of new edges can be new.
+	var seeds []int32
+	newEdges := make(map[graph.Edge]bool)
+	newVerts := make(map[graph.Vertex]bool)
+	for _, c := range cur.KappaChanges() {
 		typ := TypePromote
-		if c.to < c.from {
+		if c.To < c.From {
 			typ = TypeDemote
 		}
 		push(KindKappa, KappaEvent{
 			ID: id, Version: cur.Version, Type: typ,
-			U: c.e.U, V: c.e.V, From: c.from, To: c.to,
+			U: c.E.U, V: c.E.V, From: c.From, To: c.To,
 		})
+		if c.From != KappaAbsent {
+			continue
+		}
+		newEdges[c.E] = true
+		seeds = append(seeds, cur.S.EdgeOf(c.E))
+		for _, v := range [2]graph.Vertex{c.E.U, c.E.V} {
+			if _, ok := prev.S.Pos[v]; !ok {
+				newVerts[v] = true
+			}
+		}
 	}
 
-	// Template-pattern detection (Algorithm 4) over the snapshot diff.
-	// Only worth running when the edge set actually changed — pure κ
-	// reshuffles cannot form a novelty pattern.
-	if len(changes) > 0 {
-		oldG, newG := prev.Graph(), cur.Graph()
-		nov := template.Evolving(oldG, newG)
-		for _, spec := range []template.Spec{
-			template.NewForm(nov), template.Bridge(nov), template.NewJoin(nov),
-		} {
-			res := template.Detect(newG, spec)
-			if len(res.Characteristic) == 0 {
-				continue
-			}
-			for _, pk := range res.TopCliques(feedTopCliques, feedMinWidth) {
-				push(KindPattern, PatternEvent{
-					ID: id, Version: cur.Version, Type: KindPattern,
-					Pattern: spec.Name, Height: pk.Height, Vertices: pk.Vertices,
-				})
-			}
+	// Template-pattern detection (Algorithm 4) on the triangles of the
+	// new edges: without one no template has a characteristic triangle.
+	if len(seeds) == 0 {
+		return events
+	}
+	nov := template.Novelty{
+		IsNewEdge:   func(e graph.Edge) bool { return newEdges[e] },
+		IsNewVertex: func(v graph.Vertex) bool { return newVerts[v] },
+	}
+	for _, spec := range []template.Spec{
+		template.NewForm(nov), template.Bridge(nov), template.NewJoin(nov),
+	} {
+		res := template.DetectOn(cur.S, spec, seeds)
+		if len(res.Characteristic) == 0 {
+			continue
+		}
+		for _, pk := range res.TopCliques(feedTopCliques, feedMinWidth) {
+			push(KindPattern, PatternEvent{
+				ID: id, Version: cur.Version, Type: KindPattern,
+				Pattern: spec.Name, Height: pk.Height, Vertices: pk.Vertices,
+			})
 		}
 	}
 	return events

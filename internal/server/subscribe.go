@@ -8,9 +8,9 @@ import (
 
 // GET /g/{name}/subscribe — the change feed over Server-Sent Events.
 //
-// On each snapshot publication the graph's feed diffs the new snapshot's
-// maintained κ against the previous one and emits κ promotion/demotion
-// events plus template-pattern events (New Form / Bridge / New Join);
+// On each snapshot publication the graph's feed turns the batch's κ
+// change log into κ promotion/demotion events and adds template-pattern
+// events (New Form / Bridge / New Join) found on the batch's new edges;
 // this handler frames them as SSE:
 //
 //	id: <monotone event id>

@@ -204,17 +204,60 @@ func TestDetectOnEmptyGraph(t *testing.T) {
 	}
 }
 
+// TestForEachTriangleEnumeratesOnce checks the CSR listing behind
+// DetectOn: on K4 plus a pendant triangle, nil seeds list every triangle
+// exactly once, and a seed set lists exactly the triangles on a seed
+// edge, once each even when a triangle holds several seeds.
 func TestForEachTriangleEnumeratesOnce(t *testing.T) {
 	g := graph.New()
 	addClique(g, 1, 2, 3, 4)
-	count := map[graph.Triangle]int{}
-	forEachTriangle(g, func(tr graph.Triangle) { count[tr]++ })
-	if len(count) != 4 {
-		t.Fatalf("K4 has %d distinct triangles, want 4", len(count))
+	addClique(g, 4, 5, 6)
+	s := graph.FreezeStatic(g)
+	list := func(seeds []int32) map[graph.Triangle]int {
+		count := map[graph.Triangle]int{}
+		forEachTriangle(s, seeds, func(u, v, w, e0, e1, e2 int32) {
+			tr := graph.NewTriangle(s.OrigID[u], s.OrigID[v], s.OrigID[w])
+			for i, e := range [3]int32{e0, e1, e2} {
+				want := [3]graph.Edge{
+					graph.NewEdge(s.OrigID[u], s.OrigID[v]),
+					graph.NewEdge(s.OrigID[u], s.OrigID[w]),
+					graph.NewEdge(s.OrigID[v], s.OrigID[w]),
+				}[i]
+				if s.EdgeAt(e) != want {
+					t.Fatalf("triangle %v: edge %d is %v, want %v", tr, i, s.EdgeAt(e), want)
+				}
+			}
+			count[tr]++
+		})
+		return count
 	}
-	for tr, c := range count {
-		if c != 1 {
-			t.Fatalf("triangle %v enumerated %d times", tr, c)
+	check := func(name string, got map[graph.Triangle]int, want ...graph.Triangle) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s: listed %v, want %v", name, got, want)
+		}
+		for _, tr := range want {
+			if got[tr] != 1 {
+				t.Fatalf("%s: triangle %v listed %d times", name, tr, got[tr])
+			}
 		}
 	}
+	check("all", list(nil),
+		graph.NewTriangle(1, 2, 3), graph.NewTriangle(1, 2, 4), graph.NewTriangle(1, 3, 4),
+		graph.NewTriangle(2, 3, 4), graph.NewTriangle(4, 5, 6))
+	seeds := []int32{
+		s.EdgeOf(graph.NewEdge(1, 2)), s.EdgeOf(graph.NewEdge(2, 3)),
+		s.EdgeOf(graph.NewEdge(1, 2)), s.EdgeOf(graph.NewEdge(5, 6)),
+	}
+	check("seeded", list(seeds),
+		graph.NewTriangle(1, 2, 3), graph.NewTriangle(1, 2, 4),
+		graph.NewTriangle(2, 3, 4), graph.NewTriangle(4, 5, 6))
+	check("no seeds", list([]int32{}))
+
+	among := map[graph.Triangle]int{}
+	verts := []int32{s.Pos[1], s.Pos[2], s.Pos[4], s.Pos[5], s.Pos[6]}
+	forEachTriangleAmong(s, verts, func(u, v, w, _, _, _ int32) {
+		among[graph.NewTriangle(s.OrigID[u], s.OrigID[v], s.OrigID[w])]++
+	})
+	check("among", among, graph.NewTriangle(1, 2, 4), graph.NewTriangle(4, 5, 6))
 }

@@ -2,6 +2,7 @@ package view
 
 import (
 	"trikcore/internal/core"
+	"trikcore/internal/dynamic"
 	"trikcore/internal/events"
 	"trikcore/internal/graph"
 	"trikcore/internal/plot"
@@ -19,6 +20,7 @@ const (
 	keyPlotSVG
 	keyPlotASCII
 	keyGraph
+	keyKappaChanges
 )
 
 type commsKey int32    // Communities(k)
@@ -87,6 +89,16 @@ func (sn *Snapshot) PlotASCII() []byte {
 // version. Shared; do not mutate.
 func (sn *Snapshot) Graph() *graph.Graph {
 	return sn.Memo(keyGraph, func() any { return sn.S.Materialize() }).(*graph.Graph)
+}
+
+// KappaChanges returns the net κ changes of the batch that produced this
+// snapshot's version, sorted by edge: the κ diff against the publisher's
+// snapshot one version earlier, with From = -1 for inserted edges and
+// To = -1 for deleted ones (dynamic.NetChanges over the batch's change
+// log). It is computed on first use, so publications nobody diffs never
+// pay for it. Shared; do not mutate.
+func (sn *Snapshot) KappaChanges() []dynamic.KappaChange {
+	return sn.Memo(keyKappaChanges, func() any { return dynamic.NetChanges(sn.changes) }).([]dynamic.KappaChange)
 }
 
 // Communities returns the triangle-connected components of the κ ≥ k

@@ -11,6 +11,7 @@ var memoArtifacts = []string{
 	"plot_svg",
 	"plot_ascii",
 	"graph",
+	"kappa_changes",
 	"communities",
 	"communities_at",
 	"dualview",
@@ -100,6 +101,8 @@ func artifactOf(key any) string {
 			return "plot_ascii"
 		case keyGraph:
 			return "graph"
+		case keyKappaChanges:
+			return "kappa_changes"
 		}
 	case commsKey:
 		return "communities"

@@ -76,17 +76,18 @@ func TestPublisherInstrumentNop(t *testing.T) {
 
 func TestArtifactOfCoversAllKeys(t *testing.T) {
 	cases := map[any]string{
-		keyCoClique:    "co_clique",
-		keyCoCliqueMap: "co_clique_map",
-		keySeries:      "density_series",
-		keyPlotSVG:     "plot_svg",
-		keyPlotASCII:   "plot_ascii",
-		keyGraph:       "graph",
-		commsKey(2):    "communities",
-		commListKey(2): "communities_at",
-		dualKey(7):     "dualview",
-		dualSVGKey(7):  "dualview_svg",
-		"bogus":        "other",
+		keyCoClique:     "co_clique",
+		keyCoCliqueMap:  "co_clique_map",
+		keySeries:       "density_series",
+		keyPlotSVG:      "plot_svg",
+		keyPlotASCII:    "plot_ascii",
+		keyGraph:        "graph",
+		keyKappaChanges: "kappa_changes",
+		commsKey(2):     "communities",
+		commListKey(2):  "communities_at",
+		dualKey(7):      "dualview",
+		dualSVGKey(7):   "dualview_svg",
+		"bogus":         "other",
 	}
 	known := make(map[string]bool, len(memoArtifacts))
 	for _, a := range memoArtifacts {

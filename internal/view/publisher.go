@@ -2,6 +2,7 @@ package view
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -119,6 +120,7 @@ func (p *Publisher) freeze(tr *trace.Trace) *Snapshot {
 		Hist:    hist,
 		MaxK:    maxK,
 		Updates: p.en.Stats(),
+		changes: slices.Clone(p.en.BatchChanges()),
 		mt:      p.mt,
 	}
 	sp.End()

@@ -53,6 +53,11 @@ type Snapshot struct {
 	// Updates are the engine's cumulative work counters at freeze time.
 	Updates dynamic.Stats
 
+	// changes is the raw change log of the batch that published this
+	// snapshot (dynamic.Engine.BatchChanges), copied at freeze; the
+	// KappaChanges artifact nets it.
+	changes []dynamic.KappaChange
+
 	// memo maps comparable artifact keys to *memoEntry. Reads are
 	// lock-free; a miss allocates the entry and the sync.Once arbitrates
 	// which caller computes.
