@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet lint perfbench race debugrace bench loadbench fuzz fuzzchurn fuzzexternal ci
+.PHONY: all build test vet fmt lint perfbench race debugrace bench loadbench fuzz fuzzchurn fuzzexternal ci
 
 all: ci
 
@@ -12,6 +12,10 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+# Fails when any tracked Go file is not gofmt-formatted.
+fmt:
+	test -z "$$(gofmt -l $$(git ls-files '*.go'))"
 
 # Project static analysis: the trikcheck invariant rules (κ-funnel
 # discipline, deterministic output, guarded narrowing, no stdout in
@@ -93,4 +97,4 @@ fuzz:
 fuzzchurn:
 	$(GO) test -run '^$$' -fuzz FuzzEngineChurn -fuzztime 20s -tags trikdebug ./internal/dynamic
 
-ci: vet lint perfbench build test race debugrace
+ci: vet fmt lint perfbench build test race debugrace

@@ -71,11 +71,11 @@ func jsonSafe(v float64) float64 {
 
 // SLOVerdict is one latency-objective check in the report.
 type SLOVerdict struct {
-	Class          string  `json:"class"`
-	Quantile       string  `json:"quantile"`
-	LimitSeconds   float64 `json:"limit_seconds"`
+	Class           string  `json:"class"`
+	Quantile        string  `json:"quantile"`
+	LimitSeconds    float64 `json:"limit_seconds"`
 	ObservedSeconds float64 `json:"observed_seconds"`
-	Pass           bool    `json:"pass"`
+	Pass            bool    `json:"pass"`
 }
 
 // evalSLOs checks each configured objective against every class that
@@ -117,22 +117,22 @@ func evalSLOs(stats map[string]ClassStats, p99, p999 time.Duration) []SLOVerdict
 // Report is loadgen's machine-readable output, written to -report and
 // merged into BENCH_<stamp>.json by `benchjson -load`.
 type Report struct {
-	Schema          string                 `json:"schema"`
-	Addr            string                 `json:"addr"`
-	Graph           string                 `json:"graph,omitempty"`
-	Seed            int64                  `json:"seed"`
-	Workers         int                    `json:"workers"`
-	Rate            string                 `json:"rate"`
-	Mix             string                 `json:"mix"`
-	ZipfS           float64                `json:"zipf_s"`
-	Vertices        uint64                 `json:"vertices"`
-	Batch           int                    `json:"batch"`
-	DurationSeconds float64                `json:"duration_seconds"`
-	OpsSent         uint64                 `json:"ops_sent"`
-	OpsPerSecond    float64                `json:"ops_per_second"`
-	Classes         map[string]ClassStats  `json:"classes"`
-	SLO             []SLOVerdict           `json:"slo,omitempty"`
-	ServerDelta     map[string]float64     `json:"server_metrics_delta,omitempty"`
+	Schema          string                `json:"schema"`
+	Addr            string                `json:"addr"`
+	Graph           string                `json:"graph,omitempty"`
+	Seed            int64                 `json:"seed"`
+	Workers         int                   `json:"workers"`
+	Rate            string                `json:"rate"`
+	Mix             string                `json:"mix"`
+	ZipfS           float64               `json:"zipf_s"`
+	Vertices        uint64                `json:"vertices"`
+	Batch           int                   `json:"batch"`
+	DurationSeconds float64               `json:"duration_seconds"`
+	OpsSent         uint64                `json:"ops_sent"`
+	OpsPerSecond    float64               `json:"ops_per_second"`
+	Classes         map[string]ClassStats `json:"classes"`
+	SLO             []SLOVerdict          `json:"slo,omitempty"`
+	ServerDelta     map[string]float64    `json:"server_metrics_delta,omitempty"`
 }
 
 // sloPass reports whether every verdict passed.

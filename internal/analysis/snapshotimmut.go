@@ -7,21 +7,21 @@ import (
 )
 
 // snapshotConstructors are the functions allowed to assign through a
-// frozen value, keyed by module-relative package directory: the CSR
-// builders fill Static in place before it escapes, and nothing else in
-// the module may write through one. The view package has no entries on
-// purpose — Snapshot is built with a composite literal and never
-// assigned through, not even by its own constructor.
+// frozen value, keyed by module-relative package directory: the view
+// builder fills each fresh row block in place before any view holds it,
+// and nothing else in the module may write through a frozen value. The
+// views themselves, and Snapshot in the view package, are built with
+// composite literals and never assigned through, not even by their own
+// constructors.
 var snapshotConstructors = map[string]map[string]bool{
 	"internal/graph": {
-		"FreezeStatic":  true, // the Graph → CSR 3-pass build
-		"Freeze":        true, // the Dense → CSR direct freeze
-		"buildOriented": true, // fills the degree-oriented half
+		"buildBlock": true, // Dense.Freeze's builder filling a fresh block's chunks
 	},
 }
 
 // SnapshotImmutable bans assignments (and copy-into) through any value
-// reachable from a published view.Snapshot or a frozen graph.Static —
+// reachable from a published view.Snapshot, a frozen graph.Static or one
+// of the row chunks consecutive Static views share —
 // the "mutate a published slice" bug class. The serving layer's
 // correctness argument is that a snapshot never changes after its
 // atomic-pointer publication, so every reader works on consistent state
@@ -31,7 +31,7 @@ var snapshotConstructors = map[string]map[string]bool{
 // values cross package boundaries by design.
 var SnapshotImmutable = Rule{
 	Name:    "snapshot-immutable",
-	Doc:     "no assignment through view.Snapshot or graph.Static outside the CSR constructors",
+	Doc:     "no assignment through view.Snapshot, graph.Static or its row chunks outside the CSR builder",
 	Applies: func(rel string) bool { return true },
 	Run:     runSnapshotImmutable,
 }
@@ -95,7 +95,8 @@ func checkFrozenWrite(p *Pass, e ast.Expr, verb string) {
 }
 
 // frozenTypeName reports the display name of e's type when it is (a
-// pointer to) view.Snapshot or graph.Static, and "" otherwise.
+// pointer to) view.Snapshot, graph.Static or graph.rowChunk, and ""
+// otherwise.
 func frozenTypeName(p *Pass, e ast.Expr) string {
 	tv, ok := p.Pkg.Info.Types[e]
 	if !ok {
@@ -117,8 +118,8 @@ func frozenTypeName(p *Pass, e ast.Expr) string {
 	switch {
 	case obj.Name() == "Snapshot" && strings.HasSuffix(path, "internal/view"):
 		return "view.Snapshot"
-	case obj.Name() == "Static" && strings.HasSuffix(path, "internal/graph"):
-		return "graph.Static"
+	case (obj.Name() == "Static" || obj.Name() == "rowChunk") && strings.HasSuffix(path, "internal/graph"):
+		return "graph." + obj.Name()
 	}
 	return ""
 }

@@ -25,11 +25,11 @@ func patchHist(sn *view.Snapshot, h []int) {
 }
 
 func deepPatch(sn *view.Snapshot) {
-	sn.S.AdjNbr[0] = 7 // want "assignment through graph.Static field AdjNbr"
+	sn.S.OrigID[0] = 7 // want "assignment through graph.Static field OrigID"
 }
 
 func scribble(s *graph.Static) {
-	s.RowPtr[0] = 1 // want "assignment through graph.Static field RowPtr"
+	s.OrigID = nil // want "assignment through graph.Static field OrigID"
 }
 
 func clobber(sn *view.Snapshot) {

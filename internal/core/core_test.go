@@ -75,7 +75,7 @@ func TestFigure2Example(t *testing.T) {
 		graph.NewEdge(3, 5): 2, graph.NewEdge(4, 5): 2,
 	}
 	for e, s := range wantSup {
-		i := d.S.EdgeIndex(d.S.Pos[e.U], d.S.Pos[e.V])
+		i := d.S.EdgeOf(e)
 		if d.Support[i] != s {
 			t.Errorf("support(%v) = %d, want %d", e, d.Support[i], s)
 		}

@@ -83,7 +83,7 @@ func run(g *graph.Graph, opts Options, binary bool) *Result {
 				continue
 			}
 			mins = mins[:0]
-			u, v := s.EdgeU[i], s.EdgeV[i]
+			u, v := s.Endpoints(i)
 			s.ForEachTriangleEdge(u, v, func(w, e1, e2 int32) bool {
 				l1, l2 := lambda[e1], lambda[e2]
 				if l2 < l1 {

@@ -90,6 +90,11 @@ type Engine struct {
 	// past one batch's transitions (see BatchChanges).
 	changes []KappaChange
 
+	// view and viewKappa are the last FreezeView result, which the next
+	// one is built from.
+	view      *graph.Static
+	viewKappa []int32
+
 	// version counts effective graph changes: it moves exactly when a
 	// public mutation (or batch of them) actually changed the vertex or
 	// edge set, and never on a no-op. Snapshot publishers key immutable
@@ -171,11 +176,13 @@ func (en *Engine) setKappa(eid, old, new int32) {
 
 // transition records a κ change of edge eid (old or new may be -1 for
 // edge creation/removal), maintaining the histogram, maxK, the batch's
-// change log and the change observer. It is the single funnel every κ
-// movement goes through, and every transition fires while its edge is
-// live, so the edge's endpoints are always readable here.
+// change log, the substrate's mark for the next FreezeView and the
+// change observer. It is the single funnel every κ movement goes
+// through, and every transition fires while its edge is live, so the
+// edge's endpoints are always readable here.
 func (en *Engine) transition(eid, old, new int32) {
 	en.changes = append(en.changes, KappaChange{E: en.d.EdgeAt(eid), From: old, To: new})
+	en.d.MarkEdge(eid)
 	if old >= 0 {
 		en.hist[old]--
 	}
@@ -261,16 +268,36 @@ func (en *Engine) bumpVersion() { en.version++ }
 
 // FreezeView freezes the engine's current graph into an immutable Static
 // CSR view plus the matching κ-by-static-edge-id array, with no
-// intermediate Graph and no re-decomposition: Dense.Freeze hands back the
-// static→dense edge-id map and κ is projected through it. The result
-// shares nothing with the engine; readers may use it concurrently with
-// further engine mutation.
+// intermediate Graph and no re-decomposition. Dense.Freeze builds the
+// view from the previous one, re-freezing only what changed; κ is a
+// fresh copy of the previous view's κ patched at the ids whose edge or
+// κ changed (transition marks every κ change), or projected whole when
+// the view was built from scratch. With nothing changed since the last
+// call it returns the same view and κ. The result shares nothing
+// mutable with the engine; readers may use it concurrently with further
+// engine mutation.
 func (en *Engine) FreezeView() (*graph.Static, []int32) {
-	s, edgeOf := en.d.Freeze()
-	kappa := make([]int32, len(edgeOf))
-	for i, deid := range edgeOf {
-		kappa[i] = en.kappa[deid]
+	s, ids := en.d.Freeze()
+	if s == en.view {
+		return s, en.viewKappa
 	}
+	var kappa []int32
+	if ids.All {
+		kappa = make([]int32, s.NumEdges())
+		for i, deid := range ids.EdgeOf {
+			kappa[i] = en.kappa[deid]
+		}
+	} else {
+		// Appending the kept prefix allocates without zeroing it first.
+		m := s.NumEdges()
+		kappa = append([]int32(nil), en.viewKappa[:min(m, len(en.viewKappa))]...)
+		kappa = append(kappa, make([]int32, m-len(kappa))...)
+		for _, i := range ids.Changed {
+			kappa[i] = en.kappa[ids.EdgeOf[i]]
+		}
+	}
+	en.view, en.viewKappa = s, kappa
+	en.debugAssertView()
 	return s, kappa
 }
 

@@ -1,6 +1,10 @@
 package dynamic
 
-import "fmt"
+import (
+	"fmt"
+
+	"trikcore/internal/graph"
+)
 
 // CheckInvariants verifies the engine's internal consistency without
 // re-running the decomposition: the substrate's structural invariants,
@@ -126,6 +130,37 @@ func (en *Engine) debugAssert() {
 		return
 	}
 	if err := en.CheckInvariants(); err != nil {
+		panic("trikdebug: " + err.Error())
+	}
+}
+
+// checkView verifies a FreezeView result against the engine's current
+// state: the view has the engine's edges and every κ entry equals the
+// engine's κ of that edge, looked up by external edge so it holds
+// however the view numbers its edges. The view's structure is checked
+// by graph.DiffViews.
+func (en *Engine) checkView(s *graph.Static, kappa []int32) error {
+	if s.NumEdges() != en.d.NumEdges() || len(kappa) != s.NumEdges() {
+		return fmt.Errorf("dynamic: view has %d edges and %d κ entries, engine has %d edges",
+			s.NumEdges(), len(kappa), en.d.NumEdges())
+	}
+	for i, k := range kappa {
+		e := s.EdgeAt(int32(i)) //trikcheck:checked i < m, which the view bounds to int32
+		if want, ok := en.Kappa(e); !ok || want != k {
+			return fmt.Errorf("dynamic: view κ(%v) = %d, engine has %d (present %v)", e, k, want, ok)
+		}
+	}
+	return nil
+}
+
+// debugAssertView panics on the first checkView failure of the last
+// FreezeView when the trikdebug build tag is set, and compiles to nothing
+// otherwise. Dense.Freeze checks the view's structure itself.
+func (en *Engine) debugAssertView() {
+	if !debugChecks {
+		return
+	}
+	if err := en.checkView(en.view, en.viewKappa); err != nil {
 		panic("trikdebug: " + err.Error())
 	}
 }

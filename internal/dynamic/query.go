@@ -103,6 +103,10 @@ func (en *Engine) KappaHistogram() map[int32]int {
 	return h
 }
 
+// KappaCounts returns a copy of the maintained histogram as a slice:
+// element k counts the live edges with κ = k, for k up to MaxKappa.
+func (en *Engine) KappaCounts() []int { return slices.Clone(en.hist[:en.maxK+1]) }
+
 // VerifyConsistency recomputes the decomposition from scratch on the
 // current graph and returns an error describing the first disagreement
 // with the maintained κ values or histogram (nil when fully consistent).

@@ -108,7 +108,7 @@ func decomposeResident(s *graph.Static, opts Options, mets metrics) *Result {
 	support := core.ComputeSupportView(s, opts.Parallelism)
 	r := core.Peel(s, graph.NewLiveAdj(s), support)
 	m := s.NumEdges()
-	resident := int64(m)*8 + int64(len(s.AdjNbr))*8 + int64(s.NumVertices())*4
+	resident := int64(m)*8 + int64(2*m)*8 + int64(s.NumVertices())*4
 	mets.residentPeak.Set(resident)
 	mets.activations.Inc()
 	mets.levelSeconds.Observe(time.Since(start).Seconds())

@@ -64,13 +64,14 @@ func planPartitions(s *graph.Static, budget int64) []partition {
 
 // vertexEdgeStarts returns, per dense vertex u, the id of the first
 // edge whose lower endpoint is ≥ u (length n+1). One sequential scan of
-// the sorted EdgeU array — on a mapped view this is the only full read
-// the planner performs.
+// the lexicographically sorted edge table — on a mapped view this is the
+// only full read the planner performs.
 func vertexEdgeStarts(s *graph.Static) []int32 {
 	n := s.NumVertices()
 	ves := make([]int32, n+1)
-	for i, u := range s.EdgeU {
-		ves[u+1] = int32(i + 1) //trikcheck:checked frozen views bound m below 2^31
+	for i := int32(0); int(i) < s.NumEdges(); i++ {
+		u, _ := s.Endpoints(i)
+		ves[u+1] = i + 1
 	}
 	for u := 0; u < n; u++ {
 		if ves[u+1] < ves[u] {

@@ -42,6 +42,12 @@ type Dense struct {
 	freeV []int32 // freed vertex slots, reused LIFO
 	nv    int     // live vertices
 	ne    int     // live edges
+	// rowCap is Σ cap(rows[u]), kept up to date wherever a row is
+	// allocated or grows, so SizeBytes need not walk the rows.
+	rowCap int64
+	// fz records what changed since the last Freeze; nil until the first,
+	// so a Dense that is never frozen records nothing.
+	fz *freezeLog
 }
 
 // NewDense returns an empty dense graph.
@@ -57,27 +63,32 @@ func NewDenseFromStatic(s *Static) *Dense {
 	n := s.NumVertices()
 	m := s.NumEdges()
 	d := &Dense{
-		pos:   make(map[Vertex]int32, n),
-		orig:  append([]Vertex(nil), s.OrigID...),
-		vlive: make([]bool, n),
-		rows:  make([][]int64, n),
-		edgeU: append([]int32(nil), s.EdgeU...),
-		edgeV: append([]int32(nil), s.EdgeV...),
-		nv:    n,
-		ne:    m,
+		pos:    make(map[Vertex]int32, n),
+		orig:   append([]Vertex(nil), s.OrigID...),
+		vlive:  make([]bool, n),
+		rows:   make([][]int64, n),
+		edgeU:  make([]int32, m),
+		edgeV:  make([]int32, m),
+		nv:     n,
+		ne:     m,
+		rowCap: int64(2 * m),
 	}
-	for v, p := range s.Pos {
-		d.pos[v] = p
+	for i := range d.edgeU {
+		d.edgeU[i], d.edgeV[i] = s.Endpoints(int32(i)) //trikcheck:checked i < m, which the view bounds to int32
 	}
 	// One backing array for the initial rows; rows that later outgrow
 	// their segment are moved out by append's reallocation.
-	backing := make([]int64, len(s.AdjNbr))
-	for p, w := range s.AdjNbr {
-		backing[p] = packLive(w, s.AdjEdgeID[p])
-	}
-	for u := 0; u < n; u++ {
+	backing := make([]int64, 2*m)
+	for u, v := range d.orig {
+		d.pos[v] = int32(u) //trikcheck:checked u < n, which the view bounds to int32
 		d.vlive[u] = true
-		d.rows[u] = backing[s.RowPtr[u]:s.RowPtr[u+1]:s.RowPtr[u+1]]
+		nbr, eid := s.Row(int32(u)) //trikcheck:checked u < n, which the view bounds to int32
+		row := backing[:len(nbr):len(nbr)]
+		backing = backing[len(nbr):]
+		for k, w := range nbr {
+			row[k] = packLive(w, eid[k])
+		}
+		d.rows[u] = row
 	}
 	return d
 }
@@ -94,17 +105,12 @@ func (d *Dense) VertexCap() int { return len(d.orig) }
 
 // SizeBytes estimates the heap footprint of the substrate: the packed
 // adjacency rows (at capacity, since grown rows retain their backing),
-// the flat edge/vertex arrays, free lists and intern table. It walks the
-// per-vertex row headers, so it is O(V) — callers updating a memory
-// gauge should do so per batch, not per operation.
+// the flat edge/vertex arrays, free lists and intern table. It is O(1):
+// the row capacities are a running total.
 func (d *Dense) SizeBytes() int64 {
-	n := int64(len(d.orig))*8 + int64(len(d.vlive)) +
+	return int64(len(d.orig))*8 + int64(len(d.vlive)) +
 		int64(len(d.edgeU)+len(d.edgeV)+len(d.freeE)+len(d.freeV))*4 +
-		int64(len(d.pos))*16 + int64(len(d.rows))*24
-	for _, row := range d.rows {
-		n += int64(cap(row)) * 8
-	}
-	return n
+		int64(len(d.pos))*16 + int64(len(d.rows))*24 + d.rowCap*8
 }
 
 // EdgeCap returns the number of dense edge slots ever allocated;
@@ -151,6 +157,7 @@ func (d *Dense) Intern(v Vertex) (int32, bool) {
 	}
 	d.pos[v] = p
 	d.nv++
+	d.fz.markRow(p)
 	d.debugAssert()
 	return p, true
 }
@@ -170,6 +177,9 @@ func (d *Dense) RemoveVertexV(v Vertex) bool {
 	d.vlive[p] = false
 	d.freeV = append(d.freeV, p)
 	d.nv--
+	if d.fz != nil {
+		d.fz.removed = true
+	}
 	d.debugAssert()
 	return true
 }
@@ -190,12 +200,17 @@ func packedSearch(row []int64, w int32) (int, bool) {
 	return lo, lo < len(row) && row[lo]>>32 == int64(w)
 }
 
-// insertPacked inserts entry into sorted row at position at.
-func insertPacked(row []int64, at int, entry int64) []int64 {
+// insertAt inserts entry into u's sorted row at index at, keeping the
+// row-capacity total in step with any reallocation.
+func (d *Dense) insertAt(u int32, at int, entry int64) {
+	row := d.rows[u]
+	before := cap(row)
 	row = append(row, 0)
 	copy(row[at+1:], row[at:])
 	row[at] = entry
-	return row
+	d.rows[u] = row
+	d.rowCap += int64(cap(row) - before)
+	d.fz.markRow(u)
 }
 
 // AddEdgeV inserts the undirected edge {u, v} over external ids, interning
@@ -229,9 +244,10 @@ func (d *Dense) AddEdgeV(u, v Vertex) (int32, bool) {
 		a, b = b, a
 	}
 	d.edgeU[eid], d.edgeV[eid] = a, b
-	d.rows[du] = insertPacked(d.rows[du], atU, packLive(dv, eid))
+	d.insertAt(du, atU, packLive(dv, eid))
 	atV, _ := packedSearch(d.rows[dv], du)
-	d.rows[dv] = insertPacked(d.rows[dv], atV, packLive(du, eid))
+	d.insertAt(dv, atV, packLive(du, eid))
+	d.fz.markEdge(eid)
 	d.ne++
 	d.debugAssert()
 	return eid, true
@@ -248,6 +264,7 @@ func (d *Dense) RemoveEdgeByID(eid int32) {
 	d.removeFromRow(v, u)
 	d.edgeU[eid], d.edgeV[eid] = -1, -1
 	d.freeE = append(d.freeE, eid)
+	d.fz.markEdge(eid)
 	d.ne--
 	d.debugAssert()
 }
@@ -260,6 +277,7 @@ func (d *Dense) removeFromRow(u, w int32) {
 	}
 	copy(row[at:], row[at+1:])
 	d.rows[u] = row[:len(row)-1]
+	d.fz.markRow(u)
 }
 
 // EdgeLive reports whether eid names a live edge.

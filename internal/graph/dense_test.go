@@ -168,8 +168,8 @@ func TestDenseFromStatic(t *testing.T) {
 			t.Fatalf("EdgeIDV(%v) = %d, want %d", se, got, i)
 		}
 	}
-	for v, p := range s.Pos {
-		if dp, ok := d.DenseOf(v); !ok || dp != p {
+	for p, v := range s.OrigID {
+		if dp, ok := d.DenseOf(v); !ok || dp != int32(p) {
 			t.Fatalf("DenseOf(%d) = %d, want %d", v, dp, p)
 		}
 	}
@@ -217,5 +217,61 @@ func TestDenseSkewedTriangleMerge(t *testing.T) {
 	sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
 	if !reflect.DeepEqual(got, wantThirds) {
 		t.Fatalf("thirds = %v, want %v", got, wantThirds)
+	}
+}
+
+// sizeBytesByWalk is the reference for SizeBytes: the same estimate with
+// the row capacities summed by walking every row.
+func sizeBytesByWalk(d *Dense) int64 {
+	n := int64(len(d.orig))*8 + int64(len(d.vlive)) +
+		int64(len(d.edgeU)+len(d.edgeV)+len(d.freeE)+len(d.freeV))*4 +
+		int64(len(d.pos))*16 + int64(len(d.rows))*24
+	for _, row := range d.rows {
+		n += int64(cap(row)) * 8
+	}
+	return n
+}
+
+// TestDenseSizeBytesMatchesWalk checks the running row-capacity total
+// against a walk of the rows after every step of random churn that
+// removes vertices and reuses their slots, with freezes in between.
+func TestDenseSizeBytesMatchesWalk(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	d := NewDenseFromStatic(FreezeStatic(randomGraph(30, 0.2, 4)))
+	const nv = 40
+	interned, removed := d.NumVertices(), 0
+	for step := 0; step < 5000; step++ {
+		u, v := Vertex(rng.Intn(nv)), Vertex(rng.Intn(nv))
+		switch {
+		case u == v:
+			du, ok := d.DenseOf(u)
+			if !ok {
+				continue
+			}
+			for d.DegreeD(du) > 0 {
+				d.ForEachNeighborD(du, func(_, eid int32) bool {
+					d.RemoveEdgeByID(eid)
+					return false
+				})
+			}
+			d.RemoveVertexV(u)
+			removed++
+		case d.HasEdgeV(u, v):
+			d.RemoveEdgeByID(d.EdgeIDV(u, v))
+		default:
+			before := d.NumVertices()
+			d.AddEdgeV(u, v)
+			interned += d.NumVertices() - before
+		}
+		if step%97 == 0 {
+			d.Freeze()
+		}
+		if got, want := d.SizeBytes(), sizeBytesByWalk(d); got != want {
+			t.Fatalf("step %d: SizeBytes = %d, walk says %d", step, got, want)
+		}
+	}
+	if removed == 0 || interned <= d.VertexCap() {
+		t.Fatalf("churn removed %d vertices and interned %d into %d slots: no slot was reused",
+			removed, interned, d.VertexCap())
 	}
 }

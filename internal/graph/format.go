@@ -34,10 +34,10 @@ import (
 //	...        page-aligned sections, in id order
 //	tail       u32 CRC32 (IEEE) of file[0 : size-8], u32 trailer "TKC2"
 //
-// The nine sections are the flat arrays of graph.Static, in the exact
-// in-memory representation (int32 little-endian), so a mapped file IS
-// the frozen view: RowPtr, AdjNbr, AdjEdgeID, EdgeU, EdgeV, OutPtr,
-// OutNbr, OutEdgeID, OrigID. Page alignment keeps every section
+// The nine sections are the flat arrays a flat-built graph.Static's
+// chunks point into, in the exact in-memory representation (int32
+// little-endian), so a mapped file IS the frozen view: RowPtr, AdjNbr,
+// AdjEdgeID, EdgeU, EdgeV, OutPtr, OutNbr, OutEdgeID, OrigID. Page alignment keeps every section
 // int32-aligned for direct slicing and lets the kernel fault each array
 // independently.
 var (

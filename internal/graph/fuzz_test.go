@@ -55,7 +55,7 @@ func FuzzFreezeStatic(f *testing.F) {
 		}
 		var supportSum int64
 		for i := int32(0); i < int32(s.NumEdges()); i++ {
-			u, v := s.EdgeU[i], s.EdgeV[i]
+			u, v := s.Endpoints(i)
 			if u >= v {
 				t.Fatalf("edge %d not canonical: (%d,%d)", i, u, v)
 			}
@@ -72,16 +72,16 @@ func FuzzFreezeStatic(f *testing.F) {
 			t.Fatalf("support sum %d != 3×%d triangles", supportSum, s.TriangleCount())
 		}
 		for u := int32(0); u < int32(s.NumVertices()); u++ {
-			row := s.Neighbors(u)
+			row, ids := s.Row(u)
 			for k, w := range row {
-				id := s.AdjEdgeID[s.RowPtr[u]+int32(k)]
+				id := ids[k]
 				a, b := u, w
 				if a > b {
 					a, b = b, a
 				}
-				if s.EdgeU[id] != a || s.EdgeV[id] != b {
-					t.Fatalf("AdjEdgeID[%d] of row %d = edge %d (%d,%d), want (%d,%d)",
-						k, u, id, s.EdgeU[id], s.EdgeV[id], a, b)
+				if eu, ev := s.Endpoints(id); eu != a || ev != b {
+					t.Fatalf("edge-id row %d entry %d = edge %d (%d,%d), want (%d,%d)",
+						u, k, id, eu, ev, a, b)
 				}
 			}
 		}

@@ -14,9 +14,10 @@ package graph
 // merge streams a single array and a removal is a single memmove. Packing
 // preserves per-row order because neighbors are unique within a row.
 type LiveAdj struct {
-	s   *Static
-	row []int64 // packed (nbr<<32 | edge id), live prefix per vertex
-	end []int32 // per-vertex live end: u's live row is row[s.RowPtr[u]:end[u]]
+	s     *Static
+	row   []int64 // packed (nbr<<32 | edge id), live prefix per vertex
+	start []int32 // per-vertex row start: u's live row is row[start[u]:end[u]]
+	end   []int32 // per-vertex live end
 }
 
 func packLive(w, eid int32) int64 { return int64(w)<<32 | int64(uint32(eid)) }
@@ -24,16 +25,22 @@ func packLive(w, eid int32) int64 { return int64(w)<<32 | int64(uint32(eid)) }
 // NewLiveAdj returns a fresh live adjacency over s. The Static view is
 // not modified; each LiveAdj owns its row storage.
 func NewLiveAdj(s *Static) *LiveAdj {
+	n := s.NumVertices()
 	la := &LiveAdj{
-		s:   s,
-		row: make([]int64, len(s.AdjNbr)),
-		end: make([]int32, s.NumVertices()),
+		s:     s,
+		row:   make([]int64, 2*s.NumEdges()),
+		start: make([]int32, n),
+		end:   make([]int32, n),
 	}
-	for p, w := range s.AdjNbr {
-		la.row[p] = packLive(w, s.AdjEdgeID[p])
-	}
-	for u := range la.end {
-		la.end[u] = s.RowPtr[u+1]
+	at := int32(0)
+	for u := range la.start {
+		nbr, eid := s.Row(int32(u)) //trikcheck:checked u < n, which the view bounds to int32
+		la.start[u] = at
+		for k, w := range nbr {
+			la.row[at] = packLive(w, eid[k])
+			at++
+		}
+		la.end[u] = at
 	}
 	return la
 }
@@ -41,7 +48,7 @@ func NewLiveAdj(s *Static) *LiveAdj {
 // RemoveEdge deletes edge i from both endpoint rows. Callers are expected
 // to remove each edge once.
 func (la *LiveAdj) RemoveEdge(i int32) {
-	u, v := la.s.EdgeU[i], la.s.EdgeV[i]
+	u, v := la.s.Endpoints(i)
 	la.removeFromRow(u, v)
 	la.removeFromRow(v, u)
 }
@@ -67,7 +74,7 @@ func (la *LiveAdj) searchRow(lo, hi, w int32) (int32, bool) {
 // tail shift (cheap: rows are short by the time heavy vertices peel, and
 // the shift is a single memmove of packed entries).
 func (la *LiveAdj) removeFromRow(u, w int32) {
-	lo, hi := la.s.RowPtr[u], la.end[u]
+	lo, hi := la.start[u], la.end[u]
 	at, ok := la.searchRow(lo, hi, w)
 	if !ok {
 		return
@@ -77,7 +84,7 @@ func (la *LiveAdj) removeFromRow(u, w int32) {
 }
 
 // Degree returns the number of live edges on dense vertex u.
-func (la *LiveAdj) Degree(u int32) int { return int(la.end[u] - la.s.RowPtr[u]) }
+func (la *LiveAdj) Degree(u int32) int { return int(la.end[u] - la.start[u]) }
 
 // ForEachTriangleEdge calls fn for each triangle {u, v, w} whose edges
 // {u, w} and {v, w} are both live, passing w (ascending) and the two
@@ -87,8 +94,8 @@ func (la *LiveAdj) Degree(u int32) int { return int(la.end[u] - la.s.RowPtr[u]) 
 // the larger row, turning O(d_u + d_v) into O(d_min · log d_max). If fn
 // returns false the iteration stops.
 func (la *LiveAdj) ForEachTriangleEdge(u, v int32, fn func(w, e1, e2 int32) bool) {
-	i, iEnd := la.s.RowPtr[u], la.end[u]
-	j, jEnd := la.s.RowPtr[v], la.end[v]
+	i, iEnd := la.start[u], la.end[u]
+	j, jEnd := la.start[v], la.end[v]
 	a := la.row
 	du, dv := iEnd-i, jEnd-j
 	if du > 16*dv || dv > 16*du {

@@ -38,10 +38,26 @@ func int32Slice(b []byte, count int) []int32 {
 	return unsafe.Slice((*int32)(unsafe.Pointer(&b[0])), count)
 }
 
+// flat aliases the section arrays of the mapped file image data.
+func (lay mappedLayout) flat(data []byte) flatCSR {
+	sec := func(id int) []int32 {
+		s := lay.sections[id-1]
+		return int32Slice(data[s.off:s.off+s.length], int(s.length/4))
+	}
+	return flatCSR{
+		orig:   sec(secOrigID),
+		rowPtr: sec(secRowPtr), adjNbr: sec(secAdjNbr), adjEID: sec(secAdjEdgeID),
+		edgeU: sec(secEdgeU), edgeV: sec(secEdgeV),
+		outPtr: sec(secOutPtr), outNbr: sec(secOutNbr), outEID: sec(secOutEdgeID),
+	}
+}
+
 // Mapped is a read-only Static view served from an mmap'd TKCG v2 file.
 // The flat arrays alias the mapping: they cost address space, not heap,
 // and the kernel pages them in on demand and evicts them under memory
-// pressure. Only the Pos intern map (O(|V|)) lives on the Go heap.
+// pressure. Only the view's block and page tables (O(|V|/blockRows +
+// |E|/pageEdges)) live on the Go heap; vertex lookups binary-search the
+// mapped OrigID.
 // Close unmaps the arrays; using the Static after Close faults.
 type Mapped struct {
 	s    *Static
@@ -99,82 +115,63 @@ func openMappedData(fm *fileMap, path string, size int64) (*Mapped, error) {
 	if err := checkMappedFooter(fm.data); err != nil {
 		return nil, err
 	}
-	sec := func(id int) []int32 {
-		s := lay.sections[id-1]
-		return int32Slice(fm.data[s.off:s.off+s.length], int(s.length/4))
-	}
-	orig := sec(secOrigID)
-	pos := make(map[Vertex]int32, lay.n)
-	for i, v := range orig {
-		pos[v] = int32(i) //trikcheck:checked parseMappedHeader bounds |V| below 2^31
-	}
-	s := &Static{
-		OrigID:    orig,
-		Pos:       pos,
-		RowPtr:    sec(secRowPtr),
-		AdjNbr:    sec(secAdjNbr),
-		AdjEdgeID: sec(secAdjEdgeID),
-		EdgeU:     sec(secEdgeU),
-		EdgeV:     sec(secEdgeV),
-		OutPtr:    sec(secOutPtr),
-		OutNbr:    sec(secOutNbr),
-		OutEdgeID: sec(secOutEdgeID),
-	}
-	if err := validateMappedStatic(s, lay.n, lay.m); err != nil {
+	f := lay.flat(fm.data)
+	if err := f.validate(lay.n, lay.m); err != nil {
 		return nil, err
 	}
+	s := f.static()
 	return &Mapped{s: s, fm: fm, path: path, size: size}, nil
 }
 
-// validateMappedStatic structurally checks the aliased arrays so a file
-// with a forged CRC still cannot drive an algorithm out of bounds:
-// monotone row pointers, sorted in-range rows, canonical sorted edges.
-// Cross-array consistency (edge ids matching rows) is covered by the
-// CRC; this pass only guards the indexing invariants algorithms rely on.
-func validateMappedStatic(s *Static, n, m int) error {
+// validate structurally checks the mapped arrays so a file with a forged
+// CRC still cannot drive an algorithm out of bounds: monotone row
+// pointers, sorted in-range rows, canonical sorted edges. Cross-array
+// consistency (edge ids matching rows) is covered by the CRC; this pass
+// only guards the indexing invariants algorithms rely on.
+func (f flatCSR) validate(n, m int) error {
 	bad := func(format string, args ...any) error {
 		return fmt.Errorf("graph: %w: %s", ErrCorrupt, fmt.Sprintf(format, args...))
 	}
-	if s.RowPtr[0] != 0 || int(s.RowPtr[n]) != 2*m {
-		return bad("RowPtr spans [%d, %d], want [0, %d]", s.RowPtr[0], s.RowPtr[n], 2*m)
+	if f.rowPtr[0] != 0 || int(f.rowPtr[n]) != 2*m {
+		return bad("RowPtr spans [%d, %d], want [0, %d]", f.rowPtr[0], f.rowPtr[n], 2*m)
 	}
-	if s.OutPtr[0] != 0 || int(s.OutPtr[n]) != m {
-		return bad("OutPtr spans [%d, %d], want [0, %d]", s.OutPtr[0], s.OutPtr[n], m)
+	if f.outPtr[0] != 0 || int(f.outPtr[n]) != m {
+		return bad("OutPtr spans [%d, %d], want [0, %d]", f.outPtr[0], f.outPtr[n], m)
 	}
 	for u := 0; u < n; u++ {
-		if s.RowPtr[u+1] < s.RowPtr[u] || s.OutPtr[u+1] < s.OutPtr[u] {
+		if f.rowPtr[u+1] < f.rowPtr[u] || f.outPtr[u+1] < f.outPtr[u] {
 			return bad("row pointers for vertex %d decrease", u)
 		}
-		if u > 0 && s.OrigID[u] <= s.OrigID[u-1] {
+		if u > 0 && f.orig[u] <= f.orig[u-1] {
 			return bad("OrigID not strictly increasing at %d", u)
 		}
 		prev := int32(-1)
-		for p := s.RowPtr[u]; p < s.RowPtr[u+1]; p++ {
-			w := s.AdjNbr[p]
+		for p := f.rowPtr[u]; p < f.rowPtr[u+1]; p++ {
+			w := f.adjNbr[p]
 			if w < 0 || int(w) >= n || w <= prev || int(w) == u {
 				return bad("adjacency row of vertex %d is not a sorted self-loop-free vertex list", u)
 			}
-			if id := s.AdjEdgeID[p]; id < 0 || int(id) >= m {
+			if id := f.adjEID[p]; id < 0 || int(id) >= m {
 				return bad("edge id %d out of range in row %d", id, u)
 			}
 			prev = w
 		}
-		for p := s.OutPtr[u]; p < s.OutPtr[u+1]; p++ {
-			w := s.OutNbr[p]
-			if w < 0 || int(w) >= n || (p > s.OutPtr[u] && w <= s.OutNbr[p-1]) {
+		for p := f.outPtr[u]; p < f.outPtr[u+1]; p++ {
+			w := f.outNbr[p]
+			if w < 0 || int(w) >= n || (p > f.outPtr[u] && w <= f.outNbr[p-1]) {
 				return bad("oriented row of vertex %d is not sorted in range", u)
 			}
-			if id := s.OutEdgeID[p]; id < 0 || int(id) >= m {
+			if id := f.outEID[p]; id < 0 || int(id) >= m {
 				return bad("edge id %d out of range in oriented row %d", id, u)
 			}
 		}
 	}
 	for i := 0; i < m; i++ {
-		u, v := s.EdgeU[i], s.EdgeV[i]
+		u, v := f.edgeU[i], f.edgeV[i]
 		if u < 0 || v < 0 || int(u) >= n || int(v) >= n || u >= v {
 			return bad("edge %d endpoints (%d, %d) are not canonical in-range positions", i, u, v)
 		}
-		if i > 0 && (u < s.EdgeU[i-1] || (u == s.EdgeU[i-1] && v <= s.EdgeV[i-1])) {
+		if i > 0 && (u < f.edgeU[i-1] || (u == f.edgeU[i-1] && v <= f.edgeV[i-1])) {
 			return bad("edge list not in strict lexicographic order at %d", i)
 		}
 	}
@@ -193,19 +190,7 @@ func WriteMapped(path string, s *Static) error {
 	lay := computeMappedLayout(n, m)
 	buf := make([]byte, lay.fileSize)
 	lay.encodeHeader(buf)
-	fill := func(id int, src []int32) {
-		sec := lay.sections[id-1]
-		copy(int32Slice(buf[sec.off:sec.off+sec.length], int(sec.length/4)), src)
-	}
-	fill(secRowPtr, s.RowPtr)
-	fill(secAdjNbr, s.AdjNbr)
-	fill(secAdjEdgeID, s.AdjEdgeID)
-	fill(secEdgeU, s.EdgeU)
-	fill(secEdgeV, s.EdgeV)
-	fill(secOutPtr, s.OutPtr)
-	fill(secOutNbr, s.OutNbr)
-	fill(secOutEdgeID, s.OutEdgeID)
-	fill(secOrigID, s.OrigID)
+	s.flatten(lay.flat(buf))
 	sealMapped(buf)
 	tmp := path + ".tmp"
 	if err := os.WriteFile(tmp, buf, 0o644); err != nil {
@@ -408,15 +393,9 @@ func createSized(path string, size int64) (*fileMap, error) {
 func fillMapped(data []byte, lay mappedLayout, verts []Vertex, bound, finalLen, adj []int32) error {
 	n, m := lay.n, lay.m
 	lay.encodeHeader(data)
-	sec := func(id int) []int32 {
-		s := lay.sections[id-1]
-		return int32Slice(data[s.off:s.off+s.length], int(s.length/4))
-	}
-	rowPtr := sec(secRowPtr)
-	adjNbr := sec(secAdjNbr)
-	adjEID := sec(secAdjEdgeID)
-	edgeU, edgeV := sec(secEdgeU), sec(secEdgeV)
-	copy(sec(secOrigID), verts)
+	f := lay.flat(data)
+	rowPtr, adjNbr, adjEID, edgeU, edgeV := f.rowPtr, f.adjNbr, f.adjEID, f.edgeU, f.edgeV
+	copy(f.orig, verts)
 
 	rowPtr[0] = 0
 	for u := 0; u < n; u++ {
@@ -457,9 +436,6 @@ func fillMapped(data []byte, lay mappedLayout, verts []Vertex, bound, finalLen, 
 		}
 	}
 
-	// The oriented half runs off a temporary Static wrapping the mapped
-	// arrays; fillOriented writes only through its slice parameters.
-	s := &Static{RowPtr: rowPtr, AdjNbr: adjNbr, AdjEdgeID: adjEID, EdgeU: edgeU, EdgeV: edgeV, OrigID: verts}
-	s.fillOriented(sec(secOutPtr), sec(secOutNbr), sec(secOutEdgeID))
+	f.fillOriented()
 	return nil
 }

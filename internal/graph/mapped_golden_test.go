@@ -42,21 +42,27 @@ func TestOpenMappedGoldenAstro(t *testing.T) {
 	if !slices.Equal(s.OrigID, want.OrigID) {
 		t.Error("OrigID differs")
 	}
-	for _, arr := range []struct {
-		name      string
-		got, want []int32
-	}{
-		{"RowPtr", s.RowPtr, want.RowPtr},
-		{"AdjNbr", s.AdjNbr, want.AdjNbr},
-		{"AdjEdgeID", s.AdjEdgeID, want.AdjEdgeID},
-		{"EdgeU", s.EdgeU, want.EdgeU},
-		{"EdgeV", s.EdgeV, want.EdgeV},
-		{"OutPtr", s.OutPtr, want.OutPtr},
-		{"OutNbr", s.OutNbr, want.OutNbr},
-		{"OutEdgeID", s.OutEdgeID, want.OutEdgeID},
-	} {
-		if !slices.Equal(arr.got, arr.want) {
-			t.Errorf("%s differs between mapped view and FreezeStatic", arr.name)
+	if s.NumEdges() != want.NumEdges() {
+		t.Fatalf("mapped view has %d edges, FreezeStatic %d", s.NumEdges(), want.NumEdges())
+	}
+	for u := int32(0); int(u) < want.NumVertices(); u++ {
+		gn, ge := s.Row(u)
+		wn, we := want.Row(u)
+		if !slices.Equal(gn, wn) || !slices.Equal(ge, we) {
+			t.Fatalf("row %d differs between mapped view and FreezeStatic", u)
+		}
+	}
+	for i := int32(0); int(i) < want.NumEdges(); i++ {
+		gu, gv := s.Endpoints(i)
+		wu, wv := want.Endpoints(i)
+		if gu != wu || gv != wv {
+			t.Fatalf("edge %d differs between mapped view and FreezeStatic", i)
+		}
+		var got, exp []int32
+		s.ForEachOrientedTriangle(i, func(e1, e2 int32) bool { got = append(got, e1, e2); return true })
+		want.ForEachOrientedTriangle(i, func(e1, e2 int32) bool { exp = append(exp, e1, e2); return true })
+		if !slices.Equal(got, exp) {
+			t.Fatalf("oriented triangles of edge %d differ between mapped view and FreezeStatic", i)
 		}
 	}
 

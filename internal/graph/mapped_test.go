@@ -11,11 +11,27 @@ import (
 	"testing"
 )
 
-// staticsEqual reports whether two Static views hold identical arrays.
+// flatOf returns a deep copy of s as flat arrays, the mapped section
+// layout.
+func flatOf(s *Static) flatCSR {
+	n, m := s.NumVertices(), s.NumEdges()
+	f := flatCSR{
+		orig:   make([]Vertex, n),
+		rowPtr: make([]int32, n+1), adjNbr: make([]int32, 2*m), adjEID: make([]int32, 2*m),
+		edgeU: make([]int32, m), edgeV: make([]int32, m),
+		outPtr: make([]int32, n+1), outNbr: make([]int32, m), outEID: make([]int32, m),
+	}
+	s.flatten(f)
+	return f
+}
+
+// staticsEqual reports whether two Static views hold identical arrays
+// and agree on every vertex lookup.
 func staticsEqual(t *testing.T, got, want *Static) {
 	t.Helper()
-	if !slices.Equal(got.OrigID, want.OrigID) {
-		t.Errorf("OrigID differs: got %v want %v", got.OrigID, want.OrigID)
+	g, w := flatOf(got), flatOf(want)
+	if !slices.Equal(g.orig, w.orig) {
+		t.Errorf("OrigID differs: got %v want %v", g.orig, w.orig)
 	}
 	check := func(name string, g, w []int32) {
 		t.Helper()
@@ -23,20 +39,17 @@ func staticsEqual(t *testing.T, got, want *Static) {
 			t.Errorf("%s differs: got %v want %v", name, g, w)
 		}
 	}
-	check("RowPtr", got.RowPtr, want.RowPtr)
-	check("AdjNbr", got.AdjNbr, want.AdjNbr)
-	check("AdjEdgeID", got.AdjEdgeID, want.AdjEdgeID)
-	check("EdgeU", got.EdgeU, want.EdgeU)
-	check("EdgeV", got.EdgeV, want.EdgeV)
-	check("OutPtr", got.OutPtr, want.OutPtr)
-	check("OutNbr", got.OutNbr, want.OutNbr)
-	check("OutEdgeID", got.OutEdgeID, want.OutEdgeID)
-	if len(got.Pos) != len(want.Pos) {
-		t.Errorf("Pos has %d entries, want %d", len(got.Pos), len(want.Pos))
-	}
-	for v, p := range want.Pos {
-		if got.Pos[v] != p {
-			t.Errorf("Pos[%d] = %d, want %d", v, got.Pos[v], p)
+	check("RowPtr", g.rowPtr, w.rowPtr)
+	check("AdjNbr", g.adjNbr, w.adjNbr)
+	check("AdjEdgeID", g.adjEID, w.adjEID)
+	check("EdgeU", g.edgeU, w.edgeU)
+	check("EdgeV", g.edgeV, w.edgeV)
+	check("OutPtr", g.outPtr, w.outPtr)
+	check("OutNbr", g.outNbr, w.outNbr)
+	check("OutEdgeID", g.outEID, w.outEID)
+	for p, v := range want.OrigID {
+		if q, ok := got.PosOf(v); !ok || q != int32(p) {
+			t.Errorf("PosOf(%d) = %d, %v; want %d", v, q, ok, p)
 		}
 	}
 }

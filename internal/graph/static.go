@@ -8,42 +8,69 @@ import (
 	"sync/atomic"
 )
 
-// Static is an immutable, flat CSR view of a Graph optimized for bulk
-// algorithms. Vertices are relabeled to dense positions 0..N-1 and the
-// adjacency of all vertices lives in one shared neighbor array, sorted
-// per row, enabling cache-friendly iteration and merge-based
-// common-neighbor intersection. Edges carry dense indices 0..M-1 so
-// per-edge algorithm state can live in flat slices; the AdjEdgeID array,
-// parallel to AdjNbr, lets the triangle kernel hand those indices back
-// without any lookup structure.
+// Static is an immutable CSR view of a graph optimized for bulk
+// algorithms. Vertices are relabeled to dense positions 0..N-1 and edges
+// carry dense ids 0..M-1, so per-edge algorithm state can live in flat
+// slices. Each vertex has a sorted neighbor row with a parallel edge-id
+// row, which lets the triangle kernels hand edge ids back from a
+// common-neighbor merge without any lookup structure, plus a
+// degree-oriented out-row (ForEachOrientedTriangle).
 //
-// Edge ids are assigned in lexicographic (u, v) order of dense endpoint
-// pairs with u < v, which (because dense positions preserve the sorted
-// order of original ids) is also the order Graph.Edges returns.
+// Storage is tables of immutable chunks, so consecutive views of an
+// evolving graph can share it: rows live in blocks of blockRows
+// consecutive positions, each block holding its rows' neighbor, edge-id
+// and out-rows, and the edge endpoint table lives in pages of pageEdges
+// ids. No chunk is written after its view is built; Dense.Freeze builds
+// each view from the previous one and replaces only the chunks that
+// changed. The flat builders (FreezeStatic, OpenMapped) point every chunk
+// into one flat array per kind, so they stay zero-copy.
+//
+// Views from the flat builders keep OrigID ascending and assign edge ids
+// in lexicographic (u, v) order of positions, which is also the order
+// Graph.Edges returns. Views frozen from a Dense number vertices in slot
+// order and edges in no particular order; consumers must not assume
+// lexicographic ids there.
 type Static struct {
-	// OrigID maps a dense position back to the original vertex id.
+	// OrigID maps a dense position back to the original vertex id. It is
+	// read-only.
 	OrigID []Vertex
-	// Pos maps an original vertex id to its dense position.
-	Pos map[Vertex]int32
-	// RowPtr has N+1 entries; the neighbors of dense vertex u occupy
-	// AdjNbr[RowPtr[u]:RowPtr[u+1]], sorted ascending.
-	RowPtr []int32
-	// AdjNbr holds all adjacency rows concatenated (2M entries).
-	AdjNbr []int32
-	// AdjEdgeID is parallel to AdjNbr: AdjEdgeID[p] is the dense edge id
-	// of the edge between the row's vertex and AdjNbr[p].
-	AdjEdgeID []int32
-	// EdgeU and EdgeV hold the endpoints (dense positions, EdgeU < EdgeV)
-	// of edge i.
-	EdgeU, EdgeV []int32
-	// OutPtr/OutNbr/OutEdgeID are the degree-oriented half of the
-	// adjacency: OutNbr[OutPtr[u]:OutPtr[u+1]] holds, sorted, the
-	// neighbors of u ranked above it (by degree, ties by position), with
-	// OutEdgeID parallel. Every triangle appears exactly once as an edge
-	// {u, v} plus a common out-neighbor of u and v, which is what makes
-	// once-per-triangle listing (ForEachOrientedTriangle) cheap: oriented
-	// rows are bounded by O(√M) on any graph.
-	OutPtr, OutNbr, OutEdgeID []int32
+	// byID lists the original ids in ascending order and byIDPos their
+	// positions: the PosOf index of views whose OrigID is not ascending.
+	// Both are nil when OrigID itself is ascending.
+	byID    []Vertex
+	byIDPos []int32
+	m       int
+	// rows[b] and outs[b] hold block b's neighbor rows and out-rows.
+	rows, outs []rowChunk
+	// edgeU[p][k] and edgeV[p][k] are the endpoints (positions, u < v)
+	// of edge p*pageEdges + k.
+	edgeU, edgeV [][]int32
+}
+
+// Chunk sizes. An 8+8 edit of a power-law graph touches a few dozen
+// vertices, many of them hubs, so small blocks keep the re-frozen share
+// of the adjacency small; blocks much smaller than this make the block
+// table, which every freeze copies, dominate instead. DESIGN.md §6
+// records the measurements behind both values.
+const (
+	blockShift = 4
+	blockRows  = 1 << blockShift
+	blockMask  = blockRows - 1
+	pageShift  = 9
+	pageEdges  = 1 << pageShift
+	pageMask   = pageEdges - 1
+)
+
+// rowChunk holds one kind of row (neighbor rows or out-rows) for the
+// blockRows consecutive positions of a block: row i of the block is
+// nbr[ptr[i]:ptr[i+1]], sorted ascending, with the edge ids at the same
+// offsets of eid. A flat-built chunk's slices are windows on the view's
+// flat arrays (ptr a window of the row offsets, nbr the whole neighbor
+// array); a chunk built by Dense.Freeze owns one allocation. The chunk
+// tables hold values, not pointers, so a kernel reaches a row with one
+// load less.
+type rowChunk struct {
+	ptr, nbr, eid []int32
 }
 
 // freezeBlock is the vertex-block granularity of the parallel CSR build;
@@ -68,30 +95,29 @@ func FreezeStatic(g *Graph) *Static {
 	if m > math.MaxInt32/2 {
 		panic("graph: FreezeStatic edge count exceeds int32 capacity")
 	}
-	s := &Static{
-		OrigID: verts,
-		Pos:    make(map[Vertex]int32, n),
-		RowPtr: make([]int32, n+1),
-	}
+	// posOf is the build's own id → position table; the view looks
+	// vertices up by binary search of its ascending OrigID instead.
+	posOf := make(map[Vertex]int32, n)
 	for i, v := range verts {
-		s.Pos[v] = int32(i) //trikcheck:checked i < n, guarded above
+		posOf[v] = int32(i) //trikcheck:checked i < n, guarded above
 	}
+	rowPtr := make([]int32, n+1)
 	for i, v := range verts {
-		s.RowPtr[i+1] = s.RowPtr[i] + int32(g.Degree(v)) //trikcheck:checked degree ≤ 2m, guarded above
+		rowPtr[i+1] = rowPtr[i] + int32(g.Degree(v)) //trikcheck:checked degree ≤ 2m, guarded above
 	}
-	s.AdjNbr = make([]int32, 2*m)
-	s.AdjEdgeID = make([]int32, 2*m)
-	s.EdgeU = make([]int32, m)
-	s.EdgeV = make([]int32, m)
+	adjNbr := make([]int32, 2*m)
+	adjEID := make([]int32, 2*m)
+	edgeU := make([]int32, m)
+	edgeV := make([]int32, m)
 
 	// Pass 1: fill each row with dense neighbor positions and sort it.
 	// Concurrent reads of g's maps are safe.
 	parallelBlocks(n, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			row := s.AdjNbr[s.RowPtr[i]:s.RowPtr[i+1]]
+			row := adjNbr[rowPtr[i]:rowPtr[i+1]]
 			k := 0
 			g.ForEachNeighbor(verts[i], func(w Vertex) bool {
-				row[k] = s.Pos[w]
+				row[k] = posOf[w]
 				k++
 				return true
 			})
@@ -104,7 +130,7 @@ func FreezeStatic(g *Graph) *Static {
 	edgeStart := make([]int32, n+1)
 	parallelBlocks(n, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			row := s.AdjNbr[s.RowPtr[i]:s.RowPtr[i+1]]
+			row := adjNbr[rowPtr[i]:rowPtr[i+1]]
 			split, _ := slices.BinarySearch(row, int32(i)) //trikcheck:checked i < n, guarded above
 			edgeStart[i+1] = int32(len(row) - split)       //trikcheck:checked row lengths sum to 2m, guarded above
 		}
@@ -114,84 +140,124 @@ func FreezeStatic(g *Graph) *Static {
 	}
 
 	// Pass 2: assign edge ids. Entries w > u in row u get consecutive ids
-	// from edgeStart[u] (and define EdgeU/EdgeV); entries w < u mirror the
+	// from edgeStart[u] (and define edgeU/edgeV); entries w < u mirror the
 	// id assigned in row w, recovered by ranking u within that row. Each
-	// worker writes only its own rows' AdjEdgeID entries and the EdgeU/V
+	// worker writes only its own rows' adjEID entries and the edgeU/V
 	// slots its rows own, so the passes are data-race free.
 	parallelBlocks(n, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			u := int32(i) //trikcheck:checked i < n, guarded above
-			base := s.RowPtr[i]
-			row := s.AdjNbr[base:s.RowPtr[i+1]]
+			base := rowPtr[i]
+			row := adjNbr[base:rowPtr[i+1]]
 			split, _ := slices.BinarySearch(row, u)
 			for k, w := range row {
 				if w > u {
 					id := edgeStart[i] + int32(k-split) //trikcheck:checked k < len(row) ≤ 2m, guarded above
-					s.AdjEdgeID[base+int32(k)] = id     //trikcheck:checked k < len(row) ≤ 2m, guarded above
-					s.EdgeU[id] = u
-					s.EdgeV[id] = w
+					adjEID[base+int32(k)] = id          //trikcheck:checked k < len(row) ≤ 2m, guarded above
+					edgeU[id] = u
+					edgeV[id] = w
 				} else {
-					wrow := s.AdjNbr[s.RowPtr[w]:s.RowPtr[w+1]]
+					wrow := adjNbr[rowPtr[w]:rowPtr[w+1]]
 					wsplit, _ := slices.BinarySearch(wrow, w)
 					pos, _ := slices.BinarySearch(wrow, u)
-					s.AdjEdgeID[base+int32(k)] = edgeStart[w] + int32(pos-wsplit) //trikcheck:checked indices bounded by 2m, guarded above
+					adjEID[base+int32(k)] = edgeStart[w] + int32(pos-wsplit) //trikcheck:checked indices bounded by 2m, guarded above
 				}
 			}
 		}
 	})
 
 	// Pass 3: the oriented half.
-	s.buildOriented()
-	return s
+	f := flatCSR{
+		orig: verts, rowPtr: rowPtr, adjNbr: adjNbr, adjEID: adjEID, edgeU: edgeU, edgeV: edgeV,
+		outPtr: make([]int32, n+1), outNbr: make([]int32, m), outEID: make([]int32, m),
+	}
+	f.fillOriented()
+	return f.static()
 }
 
-// buildOriented fills the degree-oriented half (OutPtr/OutNbr/OutEdgeID)
-// from the already-built symmetric CSR arrays: count each row's
-// higher-ranked neighbors, prefix-sum, then filter the rows down. Shared
-// by FreezeStatic and Dense.Freeze; both bound the vertex and edge counts
-// to int32 range before calling, which the //trikcheck:checked
-// annotations below cite.
-func (s *Static) buildOriented() {
-	n := s.NumVertices()
-	m := s.NumEdges()
-	s.OutPtr = make([]int32, n+1)
-	s.OutNbr = make([]int32, m)
-	s.OutEdgeID = make([]int32, m)
-	s.fillOriented(s.OutPtr, s.OutNbr, s.OutEdgeID)
+// flatCSR is a view's storage as nine flat arrays: row offsets (n+1),
+// neighbor and edge-id rows (2m), endpoints (m), out-row offsets (n+1),
+// out neighbors and out edge ids (m), and the ascending original ids.
+// It is FreezeStatic's build layout and the mapped file's section layout.
+type flatCSR struct {
+	orig                   []Vertex
+	rowPtr, adjNbr, adjEID []int32
+	edgeU, edgeV           []int32
+	outPtr, outNbr, outEID []int32
 }
 
-// fillOriented computes the oriented half into caller-provided arrays
-// (len n+1, m, m) from the symmetric CSR arrays, which must already be
-// filled. The mapped-file builder aims it at mmap-backed storage;
-// buildOriented aims it at fresh heap slices. It writes only through
-// its parameters, never through s.
-func (s *Static) fillOriented(outPtr, outNbr, outEdgeID []int32) {
-	n := s.NumVertices()
+// static wraps f as a view whose chunks are windows on f's arrays,
+// copying nothing.
+func (f flatCSR) static() *Static {
+	n, m := len(f.orig), len(f.edgeU)
+	rows, outs := make([]rowChunk, (n+blockMask)>>blockShift), make([]rowChunk, (n+blockMask)>>blockShift)
+	for b := range rows {
+		lo, hi := b<<blockShift, min((b+1)<<blockShift, n)
+		rows[b] = rowChunk{ptr: f.rowPtr[lo : hi+1], nbr: f.adjNbr, eid: f.adjEID}
+		outs[b] = rowChunk{ptr: f.outPtr[lo : hi+1], nbr: f.outNbr, eid: f.outEID}
+	}
+	edgeU, edgeV := make([][]int32, (m+pageMask)>>pageShift), make([][]int32, (m+pageMask)>>pageShift)
+	for p := range edgeU {
+		lo, hi := p<<pageShift, min((p+1)<<pageShift, m)
+		edgeU[p], edgeV[p] = f.edgeU[lo:hi], f.edgeV[lo:hi]
+	}
+	return &Static{OrigID: f.orig, m: m, rows: rows, outs: outs, edgeU: edgeU, edgeV: edgeV}
+}
+
+// flatten writes the view into f, whose arrays are sized for it: the
+// inverse of flatCSR.static, for a view of any origin.
+func (s *Static) flatten(f flatCSR) {
+	copy(f.orig, s.OrigID)
+	f.rowPtr[0], f.outPtr[0] = 0, 0
+	for u := 0; u < s.NumVertices(); u++ {
+		nbr, eid := s.Row(int32(u))      //trikcheck:checked u < n, bounded to int32 at freeze
+		onbr, oeid := s.outRow(int32(u)) //trikcheck:checked u < n, bounded to int32 at freeze
+		at, out := f.rowPtr[u], f.outPtr[u]
+		copy(f.adjNbr[at:], nbr)
+		copy(f.adjEID[at:], eid)
+		copy(f.outNbr[out:], onbr)
+		copy(f.outEID[out:], oeid)
+		f.rowPtr[u+1] = at + int32(len(nbr))   //trikcheck:checked row lengths sum to 2m, bounded at freeze
+		f.outPtr[u+1] = out + int32(len(onbr)) //trikcheck:checked out-row lengths sum to m, bounded at freeze
+	}
+	for i := range f.edgeU {
+		f.edgeU[i], f.edgeV[i] = s.Endpoints(int32(i)) //trikcheck:checked i < m, bounded to int32 at freeze
+	}
+}
+
+// fillOriented computes f's degree-oriented half from its symmetric rows:
+// count each row's higher-ranked neighbors, prefix-sum, then filter the
+// rows down. FreezeStatic aims it at heap arrays and the mapped-file
+// builder at the file's sections. Callers bound the vertex and edge
+// counts to int32 range first.
+func (f flatCSR) fillOriented() {
+	rowPtr, adjNbr := f.rowPtr, f.adjNbr
+	n := len(rowPtr) - 1
+	deg := func(u int32) int32 { return rowPtr[u+1] - rowPtr[u] }
 	parallelBlocks(n, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			u := int32(i) //trikcheck:checked i < n, guarded by the caller's freeze guard
 			c := int32(0)
-			for _, w := range s.Neighbors(u) {
-				if s.rankLess(u, w) {
+			for _, w := range adjNbr[rowPtr[i]:rowPtr[i+1]] {
+				if rankLess(u, w, deg(u), deg(w)) {
 					c++
 				}
 			}
-			outPtr[i+1] = c
+			f.outPtr[i+1] = c
 		}
 	})
-	outPtr[0] = 0
+	f.outPtr[0] = 0
 	for i := 0; i < n; i++ {
-		outPtr[i+1] += outPtr[i]
+		f.outPtr[i+1] += f.outPtr[i]
 	}
 	parallelBlocks(n, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			u := int32(i) //trikcheck:checked i < n, guarded by the caller's freeze guard
-			base := s.RowPtr[i]
-			p := outPtr[i]
-			for k, w := range s.Neighbors(u) {
-				if s.rankLess(u, w) {
-					outNbr[p] = w
-					outEdgeID[p] = s.AdjEdgeID[base+int32(k)] //trikcheck:checked k < len(row) ≤ 2m, guarded by the caller's freeze guard
+			p := f.outPtr[i]
+			for k := rowPtr[i]; k < rowPtr[i+1]; k++ {
+				if w := adjNbr[k]; rankLess(u, w, deg(u), deg(w)) {
+					f.outNbr[p] = w
+					f.outEID[p] = f.adjEID[k]
 					p++
 				}
 			}
@@ -199,11 +265,11 @@ func (s *Static) fillOriented(outPtr, outNbr, outEdgeID []int32) {
 	})
 }
 
-// rankLess is the degree orientation: u ranks below w when it has smaller
-// degree, ties broken by dense position. Orienting every edge from lower
-// to higher rank makes each triangle the out-wedge of exactly one edge.
-func (s *Static) rankLess(u, w int32) bool {
-	du, dw := s.RowPtr[u+1]-s.RowPtr[u], s.RowPtr[w+1]-s.RowPtr[w]
+// rankLess is the degree orientation: u (degree du) ranks below w (degree
+// dw) when it has smaller degree, ties broken by dense position.
+// Orienting every edge from lower to higher rank makes each triangle the
+// out-wedge of exactly one edge, and bounds out-rows by O(√M).
+func rankLess(u, w, du, dw int32) bool {
 	if du != dw {
 		return du < dw
 	}
@@ -245,36 +311,74 @@ func parallelBlocks(n int, fn func(lo, hi int)) {
 func (s *Static) NumVertices() int { return len(s.OrigID) }
 
 // NumEdges returns the number of edges in the view.
-func (s *Static) NumEdges() int { return len(s.EdgeU) }
+func (s *Static) NumEdges() int { return s.m }
 
-// SizeBytes estimates the heap footprint of the view's flat arrays and
-// intern table — the number a memory gauge should report for a published
-// snapshot. It is O(1): every component's size is arithmetic over slice
-// lengths (the Pos entries are costed at key+value+bucket overhead).
-func (s *Static) SizeBytes() int64 {
-	int32Len := len(s.RowPtr) + len(s.AdjNbr) + len(s.AdjEdgeID) +
-		len(s.EdgeU) + len(s.EdgeV) +
-		len(s.OutPtr) + len(s.OutNbr) + len(s.OutEdgeID)
-	return int64(int32Len)*4 + int64(len(s.OrigID))*8 + int64(len(s.Pos))*16
+// PosOf returns the dense position of original vertex v and whether v is
+// a vertex of the view. It binary-searches OrigID where that is ascending
+// (FreezeStatic, mapped files) and the view's sorted id index otherwise.
+func (s *Static) PosOf(v Vertex) (int32, bool) {
+	ids := s.OrigID
+	if s.byID != nil {
+		ids = s.byID
+	}
+	i, ok := slices.BinarySearch(ids, v)
+	switch {
+	case !ok:
+		return -1, false
+	case s.byID != nil:
+		return s.byIDPos[i], true
+	}
+	return int32(i), true //trikcheck:checked i < n, which every builder bounds below 2^31
+}
+
+// Row returns the sorted dense neighbor row of dense position u together
+// with the parallel edge-id row. Both slices alias the view's storage
+// and must not be modified.
+func (s *Static) Row(u int32) (nbr, eid []int32) {
+	return s.rows[u>>blockShift].row(u & blockMask)
+}
+
+// outRow returns u's out-row: its neighbors ranked above it, sorted, with
+// the parallel edge ids.
+func (s *Static) outRow(u int32) (nbr, eid []int32) {
+	return s.outs[u>>blockShift].row(u & blockMask)
+}
+
+// row returns the chunk's row i.
+func (c *rowChunk) row(i int32) (nbr, eid []int32) {
+	lo, hi := c.ptr[i], c.ptr[i+1]
+	return c.nbr[lo:hi], c.eid[lo:hi]
 }
 
 // Neighbors returns the sorted dense neighbor row of dense position u.
 // The slice aliases the view's storage and must not be modified.
 func (s *Static) Neighbors(u int32) []int32 {
-	return s.AdjNbr[s.RowPtr[u]:s.RowPtr[u+1]]
+	nbr, _ := s.Row(u)
+	return nbr
+}
+
+// Degree returns the degree of the vertex at dense position u.
+func (s *Static) Degree(u int32) int {
+	c, i := &s.rows[u>>blockShift], u&blockMask
+	return int(c.ptr[i+1] - c.ptr[i])
+}
+
+// Endpoints returns the dense endpoints (u < v) of edge i.
+func (s *Static) Endpoints(i int32) (int32, int32) {
+	p, k := i>>pageShift, i&pageMask
+	return s.edgeU[p][k], s.edgeV[p][k]
 }
 
 // EdgeIndex returns the dense index of the edge between dense positions u
 // and v, or -1 if no such edge exists, by binary search over the smaller
 // of the two adjacency rows.
 func (s *Static) EdgeIndex(u, v int32) int32 {
-	if s.RowPtr[u+1]-s.RowPtr[u] > s.RowPtr[v+1]-s.RowPtr[v] {
-		u, v = v, u
+	nbr, eid := s.Row(u)
+	if nv, ev := s.Row(v); len(nbr) > len(nv) {
+		nbr, eid, v = nv, ev, u
 	}
-	base := s.RowPtr[u]
-	row := s.AdjNbr[base:s.RowPtr[u+1]]
-	if j, ok := slices.BinarySearch(row, v); ok {
-		return s.AdjEdgeID[base+int32(j)] //trikcheck:checked j < len(row) ≤ 2m, bounded at freeze
+	if j, ok := slices.BinarySearch(nbr, v); ok {
+		return eid[j]
 	}
 	return -1
 }
@@ -282,8 +386,8 @@ func (s *Static) EdgeIndex(u, v int32) int32 {
 // EdgeOf returns the dense index of edge e, given over original vertex
 // ids, or -1 if e is not an edge of the view.
 func (s *Static) EdgeOf(e Edge) int32 {
-	u, okU := s.Pos[e.U]
-	v, okV := s.Pos[e.V]
+	u, okU := s.PosOf(e.U)
+	v, okV := s.PosOf(e.V)
 	if !okU || !okV {
 		return -1
 	}
@@ -292,43 +396,29 @@ func (s *Static) EdgeOf(e Edge) int32 {
 
 // EdgeAt returns edge i as a canonical Edge over original vertex ids.
 func (s *Static) EdgeAt(i int32) Edge {
-	return NewEdge(s.OrigID[s.EdgeU[i]], s.OrigID[s.EdgeV[i]])
+	u, v := s.Endpoints(i)
+	return NewEdge(s.OrigID[u], s.OrigID[v])
 }
 
 // ForEachEdgeID calls fn for every edge index in ascending order — all
 // of 0..NumEdges-1, since a frozen view has no free slots. If fn
 // returns false the iteration stops.
 func (s *Static) ForEachEdgeID(fn func(i int32) bool) {
-	for i := range s.EdgeU {
+	for i := 0; i < s.m; i++ {
 		if !fn(int32(i)) { //trikcheck:checked i < m, bounded to int32 at freeze
 			return
 		}
 	}
 }
 
-// Degree returns the degree of the vertex at dense position u.
-func (s *Static) Degree(u int32) int { return int(s.RowPtr[u+1] - s.RowPtr[u]) }
-
-// Endpoints returns the dense endpoints (u < v) of edge i.
-func (s *Static) Endpoints(i int32) (int32, int32) { return s.EdgeU[i], s.EdgeV[i] }
-
-// Row returns the sorted dense neighbor row of dense position u together
-// with the parallel edge-id row. Both slices alias the view's storage
-// and must not be modified.
-func (s *Static) Row(u int32) (nbr, eid []int32) {
-	lo, hi := s.RowPtr[u], s.RowPtr[u+1]
-	return s.AdjNbr[lo:hi], s.AdjEdgeID[lo:hi]
-}
-
 // ForEachCommonNeighbor calls fn for each common neighbor (dense position)
 // of dense positions u and v, in ascending order, using a linear merge of
 // the two sorted adjacency rows. If fn returns false the iteration stops.
 func (s *Static) ForEachCommonNeighbor(u, v int32, fn func(w int32) bool) {
-	i, iEnd := s.RowPtr[u], s.RowPtr[u+1]
-	j, jEnd := s.RowPtr[v], s.RowPtr[v+1]
-	a := s.AdjNbr
-	for i < iEnd && j < jEnd {
-		x, y := a[i], a[j]
+	a, b := s.Neighbors(u), s.Neighbors(v)
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		x, y := a[i], b[j]
 		switch {
 		case x < y:
 			i++
@@ -347,21 +437,21 @@ func (s *Static) ForEachCommonNeighbor(u, v int32, fn func(w int32) bool) {
 // ForEachTriangleEdge calls fn for each triangle {u, v, w} on the edge
 // between dense positions u and v, passing the third vertex w (ascending)
 // and the dense edge ids e1 = {u, w} and e2 = {v, w} read directly from
-// the AdjEdgeID array — the map-free kernel of Algorithm 1. If fn returns
+// the edge-id rows — the map-free kernel of Algorithm 1. If fn returns
 // false the iteration stops.
 func (s *Static) ForEachTriangleEdge(u, v int32, fn func(w, e1, e2 int32) bool) {
-	i, iEnd := s.RowPtr[u], s.RowPtr[u+1]
-	j, jEnd := s.RowPtr[v], s.RowPtr[v+1]
-	a, id := s.AdjNbr, s.AdjEdgeID
-	for i < iEnd && j < jEnd {
-		x, y := a[i], a[j]
+	a, ida := s.Row(u)
+	b, idb := s.Row(v)
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		x, y := a[i], b[j]
 		switch {
 		case x < y:
 			i++
 		case x > y:
 			j++
 		default:
-			if !fn(x, id[i], id[j]) {
+			if !fn(x, ida[i], idb[j]) {
 				return
 			}
 			i++
@@ -372,7 +462,8 @@ func (s *Static) ForEachTriangleEdge(u, v int32, fn func(w, e1, e2 int32) bool) 
 
 // ForEachTriangleOn is ForEachTriangleEdge over the endpoints of edge i.
 func (s *Static) ForEachTriangleOn(i int32, fn func(w, e1, e2 int32) bool) {
-	s.ForEachTriangleEdge(s.EdgeU[i], s.EdgeV[i], fn)
+	u, v := s.Endpoints(i)
+	s.ForEachTriangleEdge(u, v, fn)
 }
 
 // ForEachOrientedTriangle calls fn for each triangle whose two
@@ -382,19 +473,19 @@ func (s *Static) ForEachTriangleOn(i int32, fn func(w, e1, e2 int32) bool) {
 // listing that bulk support computation uses to avoid visiting each
 // triangle three times. If fn returns false the iteration stops.
 func (s *Static) ForEachOrientedTriangle(i int32, fn func(e1, e2 int32) bool) {
-	u, v := s.EdgeU[i], s.EdgeV[i]
-	p, pEnd := s.OutPtr[u], s.OutPtr[u+1]
-	q, qEnd := s.OutPtr[v], s.OutPtr[v+1]
-	a, id := s.OutNbr, s.OutEdgeID
-	for p < pEnd && q < qEnd {
-		x, y := a[p], a[q]
+	u, v := s.Endpoints(i)
+	a, ida := s.outRow(u)
+	b, idb := s.outRow(v)
+	p, q := 0, 0
+	for p < len(a) && q < len(b) {
+		x, y := a[p], b[q]
 		switch {
 		case x < y:
 			p++
 		case x > y:
 			q++
 		default:
-			if !fn(id[p], id[q]) {
+			if !fn(ida[p], idb[q]) {
 				return
 			}
 			p++
@@ -405,7 +496,8 @@ func (s *Static) ForEachOrientedTriangle(i int32, fn func(e1, e2 int32) bool) {
 
 // Support returns the number of triangles containing edge i.
 func (s *Static) Support(i int32) int {
-	return s.countCommon(s.EdgeU[i], s.EdgeV[i])
+	u, v := s.Endpoints(i)
+	return s.countCommon(u, v)
 }
 
 // countCommon counts |N(u) ∩ N(v)| over the sorted rows, iterating the
@@ -429,7 +521,12 @@ func (s *Static) countCommon(u, v int32) int {
 		}
 		return n
 	}
-	i, j := 0, 0
+	return n + countMerge(a, b)
+}
+
+// countMerge counts the common entries of two sorted rows by linear merge.
+func countMerge(a, b []int32) int {
+	n, i, j := 0, 0, 0
 	for i < len(a) && j < len(b) {
 		x, y := a[i], b[j]
 		switch {
@@ -454,34 +551,27 @@ func (s *Static) Materialize() *Graph {
 	for _, v := range s.OrigID {
 		g.AddVertex(v)
 	}
-	for i := range s.EdgeU {
-		g.AddEdge(s.OrigID[s.EdgeU[i]], s.OrigID[s.EdgeV[i]])
-	}
+	s.ForEachEdgeID(func(i int32) bool {
+		u, v := s.Endpoints(i)
+		g.AddEdge(s.OrigID[u], s.OrigID[v])
+		return true
+	})
 	return g
 }
 
 // TriangleCount returns the total number of triangles in the graph using
 // the oriented listing, which touches each triangle once instead of
-// summing per-edge supports (three visits per triangle).
+// summing per-edge supports (three visits per triangle): every edge sits
+// in the out-row of exactly one endpoint, so merging each out-row with
+// the out-rows of its members counts every triangle at its two
+// lowest-ranked vertices.
 func (s *Static) TriangleCount() int64 {
 	var sum int64
-	for i := range s.EdgeU {
-		u, v := s.EdgeU[i], s.EdgeV[i]
-		p, pEnd := s.OutPtr[u], s.OutPtr[u+1]
-		q, qEnd := s.OutPtr[v], s.OutPtr[v+1]
-		a := s.OutNbr
-		for p < pEnd && q < qEnd {
-			x, y := a[p], a[q]
-			switch {
-			case x < y:
-				p++
-			case x > y:
-				q++
-			default:
-				sum++
-				p++
-				q++
-			}
+	for u := 0; u < s.NumVertices(); u++ {
+		ou, _ := s.outRow(int32(u)) //trikcheck:checked u < n, bounded to int32 at freeze
+		for _, w := range ou {
+			ow, _ := s.outRow(w)
+			sum += int64(countMerge(ou, ow))
 		}
 	}
 	return sum

@@ -34,11 +34,10 @@ func checkStaticInvariants(t *testing.T, g *Graph, s *Static) {
 		t.Fatalf("view has %d vertices / %d edges, graph has %d / %d",
 			n, m, g.NumVertices(), g.NumEdges())
 	}
-	if int(s.RowPtr[n]) != len(s.AdjNbr) || len(s.AdjNbr) != 2*m {
-		t.Fatalf("RowPtr[n]=%d, len(AdjNbr)=%d, want both %d", s.RowPtr[n], len(s.AdjNbr), 2*m)
-	}
+	entries := 0
 	for u := int32(0); u < int32(n); u++ {
-		row := s.Neighbors(u)
+		row, ids := s.Row(u)
+		entries += len(row)
 		if len(row) != g.Degree(s.OrigID[u]) {
 			t.Fatalf("row %d has %d entries, degree is %d", u, len(row), g.Degree(s.OrigID[u]))
 		}
@@ -49,7 +48,7 @@ func checkStaticInvariants(t *testing.T, g *Graph, s *Static) {
 			if w == u {
 				t.Fatalf("row %d contains a self-loop", u)
 			}
-			id := s.AdjEdgeID[s.RowPtr[u]+int32(k)]
+			id := ids[k]
 			if id < 0 || id >= int32(m) {
 				t.Fatalf("row %d entry %d: edge id %d out of range", u, k, id)
 			}
@@ -57,14 +56,17 @@ func checkStaticInvariants(t *testing.T, g *Graph, s *Static) {
 			if a > b {
 				a, b = b, a
 			}
-			if s.EdgeU[id] != a || s.EdgeV[id] != b {
-				t.Fatalf("AdjEdgeID of row %d entry %d points at edge %d = (%d,%d), want (%d,%d)",
-					u, k, id, s.EdgeU[id], s.EdgeV[id], a, b)
+			if eu, ev := s.Endpoints(id); eu != a || ev != b {
+				t.Fatalf("edge-id row %d entry %d points at edge %d = (%d,%d), want (%d,%d)",
+					u, k, id, eu, ev, a, b)
 			}
 		}
 	}
+	if entries != 2*m {
+		t.Fatalf("rows hold %d entries, want %d", entries, 2*m)
+	}
 	for i := int32(0); i < int32(m); i++ {
-		u, v := s.EdgeU[i], s.EdgeV[i]
+		u, v := s.Endpoints(i)
 		if u >= v {
 			t.Fatalf("edge %d not canonical: (%d,%d)", i, u, v)
 		}
@@ -106,7 +108,7 @@ func TestForEachTriangleEdgeMatchesNaive(t *testing.T) {
 		s := FreezeStatic(g)
 		checkStaticInvariants(t, g, s)
 		for i := int32(0); i < int32(s.NumEdges()); i++ {
-			u, v := s.EdgeU[i], s.EdgeV[i]
+			u, v := s.Endpoints(i)
 			want := naiveTriangles(g, s, u, v)
 			var got []int32
 			s.ForEachTriangleEdge(u, v, func(w, e1, e2 int32) bool {
@@ -169,7 +171,8 @@ func TestCountCommonSkewed(t *testing.T) {
 	g.AddEdge(2, 3)
 	g.AddEdge(3, 4)
 	s := FreezeStatic(g)
-	hub, leaf := s.Pos[0], s.Pos[2]
+	hub, _ := s.PosOf(0)
+	leaf, _ := s.PosOf(2)
 	i := s.EdgeIndex(hub, leaf)
 	if i < 0 {
 		t.Fatal("hub-leaf edge missing")

@@ -16,8 +16,8 @@ func TestFreezeStaticBasics(t *testing.T) {
 		if s.OrigID[i] != want {
 			t.Fatalf("OrigID[%d] = %d, want %d", i, s.OrigID[i], want)
 		}
-		if s.Pos[want] != int32(i) {
-			t.Fatalf("Pos[%d] = %d, want %d", want, s.Pos[want], i)
+		if p, ok := s.PosOf(want); !ok || p != int32(i) {
+			t.Fatalf("PosOf(%d) = %d, %v; want %d", want, p, ok, i)
 		}
 	}
 	if s.EdgeIndex(0, 1) < 0 || s.EdgeIndex(1, 0) != s.EdgeIndex(0, 1) {
@@ -57,7 +57,8 @@ func TestStaticCommonNeighborAscending(t *testing.T) {
 	s := FreezeStatic(g)
 	for i := int32(0); i < int32(s.NumEdges()); i++ {
 		prev := int32(-1)
-		s.ForEachCommonNeighbor(s.EdgeU[i], s.EdgeV[i], func(w int32) bool {
+		u, v := s.Endpoints(i)
+		s.ForEachCommonNeighbor(u, v, func(w int32) bool {
 			if w <= prev {
 				t.Fatalf("common neighbors not ascending: %d after %d", w, prev)
 			}
@@ -76,7 +77,7 @@ func TestStaticEdgeAtRoundTrip(t *testing.T) {
 			if !g.HasEdgeE(e) {
 				return false
 			}
-			if s.EdgeIndex(s.Pos[e.U], s.Pos[e.V]) != i {
+			if s.EdgeOf(e) != i {
 				return false
 			}
 		}

@@ -30,8 +30,9 @@ func DensityStatic(s *graph.Static, vals []int32) Series {
 	// Best incident edge value per dense vertex, one sweep over the rows.
 	best := make([]int32, n)
 	for u := 0; u < n; u++ {
-		for p := s.RowPtr[u]; p < s.RowPtr[u+1]; p++ {
-			if x := vals[s.AdjEdgeID[p]]; x > best[u] {
+		_, eids := s.Row(int32(u))
+		for _, e := range eids {
+			if x := vals[e]; x > best[u] {
 				best[u] = x
 			}
 		}
@@ -64,12 +65,12 @@ func DensityStatic(s *graph.Static, vals []int32) Series {
 	visit := func(u int32, h int32) {
 		visited[u] = true
 		out.Points = append(out.Points, Point{V: s.OrigID[u], Height: int(h)})
-		for p := s.RowPtr[u]; p < s.RowPtr[u+1]; p++ {
-			w := s.AdjNbr[p]
+		nbr, eids := s.Row(u)
+		for k, w := range nbr {
 			if visited[w] {
 				continue
 			}
-			if val := vals[s.AdjEdgeID[p]]; val > reach[w] {
+			if val := vals[eids[k]]; val > reach[w] {
 				reach[w] = val
 				heap.Push(pq, staticItem{v: w, val: val})
 			}

@@ -310,7 +310,7 @@ func batchEvents(prev, cur *view.Snapshot, firstID uint64) []Event {
 		newEdges[c.E] = true
 		seeds = append(seeds, cur.S.EdgeOf(c.E))
 		for _, v := range [2]graph.Vertex{c.E.U, c.E.V} {
-			if _, ok := prev.S.Pos[v]; !ok {
+			if _, ok := prev.S.PosOf(v); !ok {
 				newVerts[v] = true
 			}
 		}

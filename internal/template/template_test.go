@@ -255,7 +255,11 @@ func TestForEachTriangleEnumeratesOnce(t *testing.T) {
 	check("no seeds", list([]int32{}))
 
 	among := map[graph.Triangle]int{}
-	verts := []int32{s.Pos[1], s.Pos[2], s.Pos[4], s.Pos[5], s.Pos[6]}
+	var verts []int32
+	for _, v := range []graph.Vertex{1, 2, 4, 5, 6} {
+		p, _ := s.PosOf(v)
+		verts = append(verts, p)
+	}
 	forEachTriangleAmong(s, verts, func(u, v, w, _, _, _ int32) {
 		among[graph.NewTriangle(s.OrigID[u], s.OrigID[v], s.OrigID[w])]++
 	})

@@ -108,17 +108,12 @@ func (p *Publisher) freeze(tr *trace.Trace) *Snapshot {
 	}
 	sp := obs.StartStage(h, tr, "publisher.publish", "view")
 	s, kappa := p.en.FreezeView()
-	maxK := p.en.MaxKappa()
-	hist := make([]int, maxK+1)
-	for _, k := range kappa {
-		hist[k]++
-	}
 	sn := &Snapshot{
 		Version: p.en.Version(),
 		S:       s,
 		Kappa:   kappa,
-		Hist:    hist,
-		MaxK:    maxK,
+		Hist:    p.en.KappaCounts(),
+		MaxK:    p.en.MaxKappa(),
 		Updates: p.en.Stats(),
 		changes: slices.Clone(p.en.BatchChanges()),
 		mt:      p.mt,
