@@ -2,7 +2,9 @@ package graph
 
 import (
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 )
 
 // Dense is the mutable, index-oriented counterpart of Static: an
@@ -10,7 +12,8 @@ import (
 // and whose edges carry dense int32 ids handed out by an allocator with a
 // free list. It is the substrate the dynamic maintenance engine runs on —
 // per-edge algorithm state (κ, traversal marks, witness sets) lives in
-// flat slices indexed by edge id instead of maps keyed by Edge values.
+// flat slices indexed by edge id instead of maps keyed by Edge values —
+// and the storage of Graph, which hides the ids.
 //
 // Adjacency is one packed row per vertex: sorted (neighbor << 32 | edge id)
 // int64 entries, exactly the LiveAdj layout, but each row is an
@@ -60,37 +63,77 @@ func NewDense() *Dense {
 // fresh static decomposition's flat κ array be adopted by a dynamic
 // engine verbatim. The Static view is not retained.
 func NewDenseFromStatic(s *Static) *Dense {
-	n := s.NumVertices()
 	m := s.NumEdges()
+	edgeU, edgeV := make([]int32, m), make([]int32, m)
+	for i := range edgeU {
+		edgeU[i], edgeV[i] = s.Endpoints(int32(i)) //trikcheck:checked i < m, which the view bounds to int32
+	}
+	orig := slices.Clone(s.OrigID)
+	return newDenseRows(orig, vertexIndex(orig), edgeU, edgeV, s.Row)
+}
+
+// vertexIndex maps each orig[u] to its slot u.
+func vertexIndex(orig []Vertex) map[Vertex]int32 {
+	pos := make(map[Vertex]int32, len(orig))
+	for u, v := range orig {
+		pos[v] = int32(u) //trikcheck:checked u < len(orig), which every caller bounds to int32
+	}
+	return pos
+}
+
+// newDenseRows builds a Dense whose slot u holds orig[u] with the sorted
+// row row(u) and whose edge i joins slots edgeU[i] < edgeV[i], adopting
+// orig, its vertexIndex pos, edgeU and edgeV. The rows share one backing
+// array; a row that outgrows its segment moves out on reallocation.
+func newDenseRows(orig []Vertex, pos map[Vertex]int32, edgeU, edgeV []int32, row func(u int32) (nbr, eid []int32)) *Dense {
+	n, m := len(orig), len(edgeU)
 	d := &Dense{
-		pos:    make(map[Vertex]int32, n),
-		orig:   append([]Vertex(nil), s.OrigID...),
+		pos:    pos,
+		orig:   orig,
 		vlive:  make([]bool, n),
 		rows:   make([][]int64, n),
-		edgeU:  make([]int32, m),
-		edgeV:  make([]int32, m),
+		edgeU:  edgeU,
+		edgeV:  edgeV,
 		nv:     n,
 		ne:     m,
 		rowCap: int64(2 * m),
 	}
-	for i := range d.edgeU {
-		d.edgeU[i], d.edgeV[i] = s.Endpoints(int32(i)) //trikcheck:checked i < m, which the view bounds to int32
-	}
-	// One backing array for the initial rows; rows that later outgrow
-	// their segment are moved out by append's reallocation.
 	backing := make([]int64, 2*m)
-	for u, v := range d.orig {
-		d.pos[v] = int32(u) //trikcheck:checked u < n, which the view bounds to int32
+	for u := range orig {
 		d.vlive[u] = true
-		nbr, eid := s.Row(int32(u)) //trikcheck:checked u < n, which the view bounds to int32
-		row := backing[:len(nbr):len(nbr)]
+		nbr, eid := row(int32(u)) //trikcheck:checked u < n, which every caller bounds to int32
+		r := backing[:len(nbr):len(nbr)]
 		backing = backing[len(nbr):]
 		for k, w := range nbr {
-			row[k] = packLive(w, eid[k])
+			r[k] = packLive(w, eid[k])
 		}
-		d.rows[u] = row
+		d.rows[u] = r
 	}
 	return d
+}
+
+// clone returns a deep copy of d's graph with the same slots and edge
+// ids, every row packed into one backing array, and no freeze log.
+func (d *Dense) clone() Dense {
+	c := Dense{
+		pos:    maps.Clone(d.pos),
+		orig:   slices.Clone(d.orig),
+		vlive:  slices.Clone(d.vlive),
+		rows:   make([][]int64, len(d.rows)),
+		edgeU:  slices.Clone(d.edgeU),
+		edgeV:  slices.Clone(d.edgeV),
+		freeE:  slices.Clone(d.freeE),
+		freeV:  slices.Clone(d.freeV),
+		nv:     d.nv,
+		ne:     d.ne,
+		rowCap: int64(2 * d.ne),
+	}
+	backing := make([]int64, 2*d.ne)
+	for u, row := range d.rows {
+		c.rows[u] = backing[:len(row):len(row)]
+		backing = backing[copy(backing, row):]
+	}
+	return c
 }
 
 // NumVertices returns the number of live vertices.
@@ -136,6 +179,16 @@ func (d *Dense) HasVertex(v Vertex) bool {
 // recycling) a slot if v is not present. The boolean reports whether the
 // vertex was newly added.
 func (d *Dense) Intern(v Vertex) (int32, bool) {
+	p, added := d.intern(v)
+	if added {
+		d.debugAssert()
+	}
+	return p, added
+}
+
+// intern is Intern without the trikdebug assertion; Graph mutates
+// through it and the other unexported bodies below.
+func (d *Dense) intern(v Vertex) (int32, bool) {
 	if p, ok := d.pos[v]; ok {
 		return p, false
 	}
@@ -158,7 +211,6 @@ func (d *Dense) Intern(v Vertex) (int32, bool) {
 	d.pos[v] = p
 	d.nv++
 	d.fz.markRow(p)
-	d.debugAssert()
 	return p, true
 }
 
@@ -166,6 +218,14 @@ func (d *Dense) Intern(v Vertex) (int32, bool) {
 // isolated (all incident edges already removed); it panics otherwise so a
 // dangling row can never corrupt later merges.
 func (d *Dense) RemoveVertexV(v Vertex) bool {
+	if !d.removeVertex(v) {
+		return false
+	}
+	d.debugAssert()
+	return true
+}
+
+func (d *Dense) removeVertex(v Vertex) bool {
 	p, ok := d.pos[v]
 	if !ok {
 		return false
@@ -180,7 +240,6 @@ func (d *Dense) RemoveVertexV(v Vertex) bool {
 	if d.fz != nil {
 		d.fz.removed = true
 	}
-	d.debugAssert()
 	return true
 }
 
@@ -223,6 +282,16 @@ func (d *Dense) AddEdgeV(u, v Vertex) (int32, bool) {
 	}
 	du, _ := d.Intern(u)
 	dv, _ := d.Intern(v)
+	eid, added := d.addEdge(du, dv)
+	if added {
+		d.debugAssert()
+	}
+	return eid, added
+}
+
+// addEdge inserts the edge between distinct live slots du and dv unless
+// it exists, returning its id and whether it was added.
+func (d *Dense) addEdge(du, dv int32) (int32, bool) {
 	atU, ok := packedSearch(d.rows[du], dv)
 	if ok {
 		return int32(uint32(d.rows[du][atU])), false
@@ -239,23 +308,23 @@ func (d *Dense) AddEdgeV(u, v Vertex) (int32, bool) {
 		d.edgeU = append(d.edgeU, 0)
 		d.edgeV = append(d.edgeV, 0)
 	}
-	a, b := du, dv
-	if a > b {
-		a, b = b, a
-	}
-	d.edgeU[eid], d.edgeV[eid] = a, b
+	d.edgeU[eid], d.edgeV[eid] = min(du, dv), max(du, dv)
 	d.insertAt(du, atU, packLive(dv, eid))
 	atV, _ := packedSearch(d.rows[dv], du)
 	d.insertAt(dv, atV, packLive(du, eid))
 	d.fz.markEdge(eid)
 	d.ne++
-	d.debugAssert()
 	return eid, true
 }
 
 // RemoveEdgeByID deletes live edge eid from both endpoint rows and
 // recycles its id.
 func (d *Dense) RemoveEdgeByID(eid int32) {
+	d.removeEdge(eid)
+	d.debugAssert()
+}
+
+func (d *Dense) removeEdge(eid int32) {
 	u, v := d.edgeU[eid], d.edgeV[eid]
 	if u < 0 {
 		panic(fmt.Sprintf("graph: RemoveEdgeByID(%d) on a free edge slot", eid))
@@ -266,7 +335,6 @@ func (d *Dense) RemoveEdgeByID(eid int32) {
 	d.freeE = append(d.freeE, eid)
 	d.fz.markEdge(eid)
 	d.ne--
-	d.debugAssert()
 }
 
 func (d *Dense) removeFromRow(u, w int32) {
@@ -346,46 +414,55 @@ func (d *Dense) ForEachEdgeID(fn func(eid int32) bool) {
 
 // ForEachTriangleEdgeD calls fn for each triangle {u, v, w} on the edge
 // between dense vertices u and v, passing the third vertex w (ascending
-// dense order) and the dense edge ids e1 = {u, w}, e2 = {v, w}. Balanced
-// rows are intersected by linear merge; badly skewed pairs switch to
-// binary search over the larger row. If fn returns false the iteration
-// stops.
+// dense order) and the dense edge ids e1 = {u, w}, e2 = {v, w} (see
+// mergeRows). If fn returns false the iteration stops.
 func (d *Dense) ForEachTriangleEdgeD(u, v int32, fn func(w, e1, e2 int32) bool) {
-	ra, rb := d.rows[u], d.rows[v]
-	if len(ra) > 16*len(rb) || len(rb) > 16*len(ra) {
-		swapped := len(ra) > len(rb)
+	mergeRows(d.rows[u], d.rows[v], fn)
+}
+
+// mergeRows calls fn for each neighbor w common to the sorted packed rows
+// a and b, in ascending order, with the edge ids that pair it in a and in
+// b. Balanced rows are intersected by linear merge; badly skewed pairs (a
+// low-degree vertex against a hub row, the common case early in a
+// power-law peel) binary-search the larger row instead, turning
+// O(|a| + |b|) into O(min · log max). Either way it stops once a row is
+// exhausted. If fn returns false the iteration stops.
+func mergeRows(a, b []int64, fn func(w, ea, eb int32) bool) {
+	if len(a) > 16*len(b) || len(b) > 16*len(a) {
+		// Probe with the smaller row; swapped hands the edge ids back in
+		// (a, b) order when the roles flip.
+		swapped := len(a) > len(b)
 		if swapped {
-			ra, rb = rb, ra
+			a, b = b, a
 		}
-		j := 0
-		for _, pa := range ra {
-			w := int32(pa >> 32)
-			at, ok := packedSearch(rb[j:], w)
-			j += at
+		for i := 0; i < len(a) && len(b) > 0; i++ {
+			w := int32(a[i] >> 32)
+			at, ok := packedSearch(b, w)
+			b = b[at:] // everything before the insertion point sorts below w
 			if !ok {
 				continue
 			}
-			e1, e2 := int32(uint32(pa)), int32(uint32(rb[j]))
+			ea, eb := int32(uint32(a[i])), int32(uint32(b[0]))
 			if swapped {
-				e1, e2 = e2, e1
+				ea, eb = eb, ea
 			}
-			if !fn(w, e1, e2) {
+			if !fn(w, ea, eb) {
 				return
 			}
-			j++
+			b = b[1:]
 		}
 		return
 	}
 	i, j := 0, 0
-	for i < len(ra) && j < len(rb) {
-		x, y := ra[i]>>32, rb[j]>>32
+	for i < len(a) && j < len(b) {
+		x, y := a[i]>>32, b[j]>>32
 		switch {
 		case x < y:
 			i++
 		case x > y:
 			j++
 		default:
-			if !fn(int32(x), int32(uint32(ra[i])), int32(uint32(rb[j]))) { //trikcheck:checked x = packed>>32, a dense position
+			if !fn(int32(x), int32(uint32(a[i])), int32(uint32(b[j]))) { //trikcheck:checked x = packed>>32, a dense position
 				return
 			}
 			i++
@@ -395,19 +472,5 @@ func (d *Dense) ForEachTriangleEdgeD(u, v int32, fn func(w, e1, e2 int32) bool) 
 }
 
 // Materialize builds a standalone mutable Graph holding the same vertices
-// and edges. It shares nothing with the Dense view.
-func (d *Dense) Materialize() *Graph {
-	g := NewWithCapacity(d.nv)
-	for p, v := range d.orig {
-		if !d.vlive[p] {
-			continue
-		}
-		g.AddVertex(v)
-		for _, packed := range d.rows[p] {
-			if w := int32(packed >> 32); int32(p) < w { //trikcheck:checked p indexes rows, bounded to int32 by Intern
-				g.AddEdge(v, d.orig[w])
-			}
-		}
-	}
-	return g
-}
+// and edges: a copy of d's rows. It shares nothing with the Dense.
+func (d *Dense) Materialize() *Graph { return &Graph{d: d.clone()} }

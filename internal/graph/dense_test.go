@@ -3,17 +3,19 @@ package graph
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 )
 
-// TestDenseRandomOpsMirrorsGraph drives a Dense and a map-backed Graph
-// through the same randomized insert/delete stream and checks that every
-// membership query, count, and triangle listing agrees.
+// TestDenseRandomOpsMirrorsGraph drives a Dense and graphModel, an edge
+// set with a vertex set, through the same randomized insert/delete stream
+// and checks that every membership query, count, and triangle listing
+// agrees.
 func TestDenseRandomOpsMirrorsGraph(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	d := NewDense()
-	g := New()
+	m := newGraphModel()
 	const nv = 24
 	for step := 0; step < 4000; step++ {
 		u := Vertex(rng.Intn(nv))
@@ -21,26 +23,26 @@ func TestDenseRandomOpsMirrorsGraph(t *testing.T) {
 		if u == v {
 			continue
 		}
-		if g.HasEdge(u, v) {
+		if m.hasEdge(u, v) {
 			eid := d.EdgeIDV(u, v)
 			if eid < 0 {
-				t.Fatalf("step %d: edge {%d,%d} in Graph but not Dense", step, u, v)
+				t.Fatalf("step %d: edge {%d,%d} in the model but not Dense", step, u, v)
 			}
 			d.RemoveEdgeByID(eid)
-			g.RemoveEdge(u, v)
+			m.removeEdge(u, v)
 		} else {
 			if _, added := d.AddEdgeV(u, v); !added {
-				t.Fatalf("step %d: Dense had edge {%d,%d} that Graph lacked", step, u, v)
+				t.Fatalf("step %d: Dense had edge {%d,%d} that the model lacked", step, u, v)
 			}
-			g.AddEdge(u, v)
+			m.addEdge(u, v)
 		}
-		if d.NumEdges() != g.NumEdges() {
-			t.Fatalf("step %d: NumEdges %d != %d", step, d.NumEdges(), g.NumEdges())
+		if d.NumEdges() != len(m.edges) {
+			t.Fatalf("step %d: NumEdges %d != %d", step, d.NumEdges(), len(m.edges))
 		}
 	}
 
-	// Every Graph edge resolves in Dense with consistent endpoints.
-	for _, e := range g.Edges() {
+	// Every model edge resolves in Dense with consistent endpoints.
+	for _, e := range m.sortedEdges() {
 		eid := d.EdgeIDV(e.U, e.V)
 		if eid < 0 {
 			t.Fatalf("edge %v missing from Dense", e)
@@ -52,9 +54,9 @@ func TestDenseRandomOpsMirrorsGraph(t *testing.T) {
 			t.Fatalf("EdgeAt(%d) = %v, want %v", eid, got, e)
 		}
 	}
-	// Triangle kernel agrees with the map-backed graph on every edge.
-	for _, e := range g.Edges() {
-		want := g.CommonNeighbors(e.U, e.V)
+	// Triangle kernel agrees with the model on every edge.
+	for _, e := range m.sortedEdges() {
+		want := m.common(e.U, e.V)
 		if want == nil {
 			want = []Vertex{}
 		}
@@ -77,14 +79,9 @@ func TestDenseRandomOpsMirrorsGraph(t *testing.T) {
 			t.Fatalf("triangles on %v: got thirds %v, want %v", e, got, want)
 		}
 	}
-	// Materialize round-trips to an equal graph.
-	mg := d.Materialize()
-	if !reflect.DeepEqual(mg.Edges(), g.Edges()) {
-		t.Fatalf("Materialize edges mismatch")
-	}
-	if !reflect.DeepEqual(mg.Vertices(), g.Vertices()) {
-		t.Fatalf("Materialize vertices mismatch: got %v, want %v", mg.Vertices(), g.Vertices())
-	}
+	// Materialize copies the graph into a Graph that answers like the
+	// model, with d's rows' invariants.
+	checkGraph(t, "Materialize", d.Materialize(), m)
 }
 
 // TestDenseEdgeIDReuse checks the allocator recycles freed ids LIFO and
@@ -273,5 +270,56 @@ func TestDenseSizeBytesMatchesWalk(t *testing.T) {
 	if removed == 0 || interned <= d.VertexCap() {
 		t.Fatalf("churn removed %d vertices and interned %d into %d slots: no slot was reused",
 			removed, interned, d.VertexCap())
+	}
+}
+
+// TestMergeRowsMatchesIntersection checks the shared two-row merge on
+// random row pairs, balanced and skewed past the galloping switch in
+// both argument orders, against a brute-force intersection: every
+// common neighbor once, ascending, with its edge id from each row —
+// including matches on the last entry of the larger row.
+func TestMergeRowsMatchesIntersection(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	row := func(n, span int) []int64 {
+		var out []int64
+		for _, w := range rng.Perm(span)[:n] {
+			out = append(out, packLive(int32(w), int32(rng.Intn(1000))))
+		}
+		sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+		return out
+	}
+	for trial := 0; trial < 500; trial++ {
+		span := 80 + rng.Intn(60)
+		small, large := 1+rng.Intn(4), 1+rng.Intn(4)
+		if trial%2 == 0 {
+			large = 17*small + rng.Intn(span-17*small+1)
+		}
+		a, b := row(small, span), row(large, span)
+		if trial%3 == 0 {
+			// Share the larger row's last two neighbors.
+			for k := 1; k <= min(2, len(a), len(b)); k++ {
+				a[len(a)-k] = packLive(int32(b[len(b)-k]>>32), 7)
+			}
+			sort.Slice(a, func(i, j int) bool { return a[i] < a[j] })
+			a = slices.CompactFunc(a, func(x, y int64) bool { return x>>32 == y>>32 })
+		}
+		for _, pair := range [][2][]int64{{a, b}, {b, a}} {
+			var want [][3]int32
+			for _, x := range pair[0] {
+				for _, y := range pair[1] {
+					if x>>32 == y>>32 {
+						want = append(want, [3]int32{int32(x >> 32), int32(uint32(x)), int32(uint32(y))})
+					}
+				}
+			}
+			var got [][3]int32
+			mergeRows(pair[0], pair[1], func(w, ea, eb int32) bool {
+				got = append(got, [3]int32{w, ea, eb})
+				return true
+			})
+			if !slices.Equal(got, want) {
+				t.Fatalf("trial %d: mergeRows gave %v, want %v", trial, got, want)
+			}
+		}
 	}
 }

@@ -2,10 +2,12 @@
 // triangle k-core algorithms in this repository.
 //
 // The central type is Graph, a mutable, undirected simple graph over int32
-// vertex identifiers. It supports O(1) expected-time edge insertion,
-// deletion and membership queries, and exposes the triangle primitives
-// (common-neighbor iteration, edge support) on which truss-style
-// decompositions are built.
+// vertex identifiers, stored as one sorted adjacency row per vertex (a
+// Dense, the rows the dynamic engine runs on). Edge membership, insertion
+// and deletion cost a vertex lookup plus a binary search of a row, and an
+// update also shifts the row's tail; the triangle primitives
+// (common-neighbor iteration, edge support) merge two sorted rows. Bulk
+// inputs are built by sort-and-dedup instead of per-edge inserts.
 //
 // For read-mostly bulk algorithms (the static decomposition in
 // internal/core), FreezeStatic converts a Graph into a compact
@@ -15,6 +17,7 @@ package graph
 
 import (
 	"fmt"
+	"math"
 	"slices"
 )
 
@@ -135,60 +138,56 @@ func (t Triangle) ThirdVertex(e Edge) Vertex {
 // String renders the triangle as "(a,b,c)".
 func (t Triangle) String() string { return fmt.Sprintf("(%d,%d,%d)", t.A, t.B, t.C) }
 
-// Graph is a mutable undirected simple graph. The zero value is not usable;
-// construct graphs with New. Graph is not safe for concurrent mutation;
-// concurrent reads are safe.
+// Graph is a mutable undirected simple graph: a Dense whose edge ids it
+// hides, its methods translating vertex ids through the Dense's index.
+// The zero value is not usable; construct graphs with New, or in bulk with
+// FromEdges, FromPairs or ReadEdgeList. Graph is not safe for concurrent
+// mutation; concurrent reads are safe. ForEach* callbacks must not mutate
+// g.
 type Graph struct {
-	adj   map[Vertex]map[Vertex]struct{}
-	edges int
+	d Dense
 }
 
 // New returns an empty graph.
-func New() *Graph {
-	return &Graph{adj: make(map[Vertex]map[Vertex]struct{})}
-}
+func New() *Graph { return NewWithCapacity(0) }
 
 // NewWithCapacity returns an empty graph with capacity hints for the number
 // of vertices it is expected to hold.
 func NewWithCapacity(vertices int) *Graph {
-	return &Graph{adj: make(map[Vertex]map[Vertex]struct{}, vertices)}
+	return &Graph{d: Dense{pos: make(map[Vertex]int32, vertices)}}
 }
 
 // NumVertices returns the number of vertices currently in the graph.
-func (g *Graph) NumVertices() int { return len(g.adj) }
+func (g *Graph) NumVertices() int { return g.d.nv }
 
 // NumEdges returns the number of edges currently in the graph.
-func (g *Graph) NumEdges() int { return g.edges }
+func (g *Graph) NumEdges() int { return g.d.ne }
 
 // HasVertex reports whether v is present.
-func (g *Graph) HasVertex(v Vertex) bool {
-	_, ok := g.adj[v]
-	return ok
+func (g *Graph) HasVertex(v Vertex) bool { return g.d.HasVertex(v) }
+
+// row returns v's packed adjacency row, nil when v is absent.
+func (g *Graph) row(v Vertex) []int64 {
+	if p, ok := g.d.pos[v]; ok {
+		return g.d.rows[p]
+	}
+	return nil
 }
 
 // AddVertex ensures v is present (possibly isolated). It reports whether the
 // vertex was newly added.
 func (g *Graph) AddVertex(v Vertex) bool {
-	if _, ok := g.adj[v]; ok {
-		return false
-	}
-	g.adj[v] = make(map[Vertex]struct{})
-	return true
+	_, added := g.d.intern(v)
+	return added
 }
 
 // RemoveVertex removes v and all incident edges. It reports whether the
 // vertex was present.
 func (g *Graph) RemoveVertex(v Vertex) bool {
-	nbrs, ok := g.adj[v]
-	if !ok {
-		return false
+	for row := g.row(v); len(row) > 0; row = g.row(v) {
+		g.d.removeEdge(int32(uint32(row[len(row)-1])))
 	}
-	for w := range nbrs {
-		delete(g.adj[w], v)
-		g.edges--
-	}
-	delete(g.adj, v)
-	return true
+	return g.d.removeVertex(v)
 }
 
 // AddEdge inserts the undirected edge {u, v}, creating endpoints as needed.
@@ -197,15 +196,10 @@ func (g *Graph) AddEdge(u, v Vertex) bool {
 	if u == v {
 		panic(fmt.Sprintf("graph: self-loop on vertex %d", u))
 	}
-	g.AddVertex(u)
-	g.AddVertex(v)
-	if _, ok := g.adj[u][v]; ok {
-		return false
-	}
-	g.adj[u][v] = struct{}{}
-	g.adj[v][u] = struct{}{}
-	g.edges++
-	return true
+	du, _ := g.d.intern(u)
+	dv, _ := g.d.intern(v)
+	_, added := g.d.addEdge(du, dv)
+	return added
 }
 
 // AddEdgeE is AddEdge for a canonical Edge value.
@@ -214,12 +208,11 @@ func (g *Graph) AddEdgeE(e Edge) bool { return g.AddEdge(e.U, e.V) }
 // RemoveEdge deletes the undirected edge {u, v} if present and reports
 // whether it was removed. Endpoints are kept even if they become isolated.
 func (g *Graph) RemoveEdge(u, v Vertex) bool {
-	if _, ok := g.adj[u][v]; !ok {
+	eid := g.d.EdgeIDV(u, v)
+	if eid < 0 {
 		return false
 	}
-	delete(g.adj[u], v)
-	delete(g.adj[v], u)
-	g.edges--
+	g.d.removeEdge(eid)
 	return true
 }
 
@@ -227,22 +220,19 @@ func (g *Graph) RemoveEdge(u, v Vertex) bool {
 func (g *Graph) RemoveEdgeE(e Edge) bool { return g.RemoveEdge(e.U, e.V) }
 
 // HasEdge reports whether the undirected edge {u, v} is present.
-func (g *Graph) HasEdge(u, v Vertex) bool {
-	_, ok := g.adj[u][v]
-	return ok
-}
+func (g *Graph) HasEdge(u, v Vertex) bool { return g.d.HasEdgeV(u, v) }
 
 // HasEdgeE is HasEdge for a canonical Edge value.
 func (g *Graph) HasEdgeE(e Edge) bool { return g.HasEdge(e.U, e.V) }
 
 // Degree returns the number of neighbors of v (0 if absent).
-func (g *Graph) Degree(v Vertex) int { return len(g.adj[v]) }
+func (g *Graph) Degree(v Vertex) int { return len(g.row(v)) }
 
 // ForEachNeighbor calls fn for every neighbor of v in unspecified order.
 // If fn returns false the iteration stops early.
 func (g *Graph) ForEachNeighbor(v Vertex, fn func(w Vertex) bool) {
-	for w := range g.adj[v] {
-		if !fn(w) {
+	for _, packed := range g.row(v) {
+		if !fn(g.d.orig[packed>>32]) {
 			return
 		}
 	}
@@ -250,10 +240,10 @@ func (g *Graph) ForEachNeighbor(v Vertex, fn func(w Vertex) bool) {
 
 // NeighborsSorted returns the neighbors of v in ascending order.
 func (g *Graph) NeighborsSorted(v Vertex) []Vertex {
-	nbrs := g.adj[v]
-	out := make([]Vertex, 0, len(nbrs))
-	for w := range nbrs {
-		out = append(out, w)
+	row := g.row(v)
+	out := make([]Vertex, len(row))
+	for k, packed := range row {
+		out[k] = g.d.orig[packed>>32]
 	}
 	slices.Sort(out)
 	return out
@@ -261,10 +251,11 @@ func (g *Graph) NeighborsSorted(v Vertex) []Vertex {
 
 // Vertices returns all vertex identifiers in ascending order.
 func (g *Graph) Vertices() []Vertex {
-	out := make([]Vertex, 0, len(g.adj))
-	for v := range g.adj {
+	out := make([]Vertex, 0, g.d.nv)
+	g.ForEachVertex(func(v Vertex) bool {
 		out = append(out, v)
-	}
+		return true
+	})
 	slices.Sort(out)
 	return out
 }
@@ -272,8 +263,8 @@ func (g *Graph) Vertices() []Vertex {
 // ForEachVertex calls fn for every vertex in unspecified order. If fn
 // returns false the iteration stops early.
 func (g *Graph) ForEachVertex(fn func(v Vertex) bool) {
-	for v := range g.adj {
-		if !fn(v) {
+	for p, v := range g.d.orig {
+		if g.d.vlive[p] && !fn(v) {
 			return
 		}
 	}
@@ -281,14 +272,11 @@ func (g *Graph) ForEachVertex(fn func(v Vertex) bool) {
 
 // Edges returns all edges in canonical form sorted by (U, V).
 func (g *Graph) Edges() []Edge {
-	out := make([]Edge, 0, g.edges)
-	for u, nbrs := range g.adj {
-		for v := range nbrs {
-			if u < v {
-				out = append(out, Edge{U: u, V: v})
-			}
-		}
-	}
+	out := make([]Edge, 0, g.d.ne)
+	g.ForEachEdge(func(e Edge) bool {
+		out = append(out, e)
+		return true
+	})
 	slices.SortFunc(out, compareEdges)
 	return out
 }
@@ -296,10 +284,11 @@ func (g *Graph) Edges() []Edge {
 // ForEachEdge calls fn for every edge in unspecified order. If fn returns
 // false the iteration stops early.
 func (g *Graph) ForEachEdge(fn func(e Edge) bool) {
-	for u, nbrs := range g.adj {
-		for v := range nbrs {
-			if u < v {
-				if !fn(Edge{U: u, V: v}) {
+	orig := g.d.orig
+	for u, row := range g.d.rows {
+		for _, packed := range row {
+			if w := int32(packed >> 32); int32(u) < w { //trikcheck:checked u indexes rows, bounded to int32 by Intern
+				if !fn(NewEdge(orig[u], orig[w])) {
 					return
 				}
 			}
@@ -307,25 +296,15 @@ func (g *Graph) ForEachEdge(fn func(e Edge) bool) {
 	}
 }
 
-// ForEachCommonNeighbor calls fn for every common neighbor of u and v,
-// iterating over the smaller adjacency set. Order is unspecified. If fn
-// returns false the iteration stops early.
+// ForEachCommonNeighbor calls fn for every common neighbor of u and v by
+// merging their sorted rows. Order is unspecified. If fn returns false
+// the iteration stops early.
 func (g *Graph) ForEachCommonNeighbor(u, v Vertex, fn func(w Vertex) bool) {
-	nu, nv := g.adj[u], g.adj[v]
-	if len(nu) > len(nv) {
-		nu, nv = nv, nu
-	}
-	for w := range nu {
-		if _, ok := nv[w]; ok {
-			if !fn(w) {
-				return
-			}
-		}
-	}
+	mergeRows(g.row(u), g.row(v), func(w, _, _ int32) bool { return fn(g.d.orig[w]) })
 }
 
 // CommonNeighbors returns the common neighbors of u and v in ascending
-// order.
+// order, or nil when they have none.
 func (g *Graph) CommonNeighbors(u, v Vertex) []Vertex {
 	var out []Vertex
 	g.ForEachCommonNeighbor(u, v, func(w Vertex) bool {
@@ -336,9 +315,9 @@ func (g *Graph) CommonNeighbors(u, v Vertex) []Vertex {
 	return out
 }
 
-// Support returns the number of triangles containing the edge {u, v},
-// i.e. |N(u) ∩ N(v)|. It returns 0 if the edge is absent (the count is
-// still the size of the common neighborhood of u and v if both exist).
+// Support returns |N(u) ∩ N(v)|, the number of common neighbors of u and
+// v, whether or not the edge {u, v} exists. On an edge it is the number
+// of triangles containing the edge; it is 0 when u or v is absent.
 func (g *Graph) Support(u, v Vertex) int {
 	n := 0
 	g.ForEachCommonNeighbor(u, v, func(Vertex) bool { n++; return true })
@@ -369,18 +348,7 @@ func (g *Graph) ForEachTriangleEdge(u, v Vertex, fn func(w Vertex, e1, e2 Edge) 
 }
 
 // Clone returns a deep copy of the graph.
-func (g *Graph) Clone() *Graph {
-	c := NewWithCapacity(len(g.adj))
-	for v, nbrs := range g.adj {
-		m := make(map[Vertex]struct{}, len(nbrs))
-		for w := range nbrs {
-			m[w] = struct{}{}
-		}
-		c.adj[v] = m
-	}
-	c.edges = g.edges
-	return c
-}
+func (g *Graph) Clone() *Graph { return &Graph{d: g.d.clone()} }
 
 // VerticesOf returns the distinct endpoints of edges, sorted ascending.
 func VerticesOf(edges []Edge) []Vertex {
@@ -393,24 +361,71 @@ func VerticesOf(edges []Edge) []Vertex {
 }
 
 // FromEdges builds a graph from a list of edges; duplicate edges are
-// ignored.
+// ignored. It panics on self-loops.
 func FromEdges(edges []Edge) *Graph {
-	g := New()
+	keys := make([]int64, 0, 2*len(edges))
 	for _, e := range edges {
-		g.AddEdge(e.U, e.V)
+		keys = appendPair(keys, e.U, e.V)
 	}
-	return g
+	return fromPairKeys(keys)
 }
 
-// FromPairs builds a graph from flat (u, v) pairs. It panics if the slice
-// has odd length.
+// FromPairs builds a graph from flat (u, v) pairs; duplicate edges are
+// ignored. It panics if the slice has odd length or holds a self-loop.
 func FromPairs(pairs ...Vertex) *Graph {
 	if len(pairs)%2 != 0 {
 		panic("graph: FromPairs needs an even number of vertices")
 	}
-	g := New()
+	keys := make([]int64, 0, len(pairs))
 	for i := 0; i < len(pairs); i += 2 {
-		g.AddEdge(pairs[i], pairs[i+1])
+		keys = appendPair(keys, pairs[i], pairs[i+1])
 	}
-	return g
+	return fromPairKeys(keys)
+}
+
+// appendPair appends the keys of both directions of the edge {u, v}: u in
+// the high half and v, sign bit flipped, in the low half, so int64 order
+// is the (u, v) order of the ids. It panics on self-loops, as AddEdge
+// does.
+func appendPair(keys []int64, u, v Vertex) []int64 {
+	if u == v {
+		panic(fmt.Sprintf("graph: self-loop on vertex %d", u))
+	}
+	return append(keys, int64(u)<<32|int64(uint32(v)^1<<31), int64(v)<<32|int64(uint32(u)^1<<31))
+}
+
+// fromPairKeys builds the graph whose edges appendPair encoded in keys,
+// duplicates allowed: the sorted, deduplicated keys are the rows of a flat
+// CSR over the ascending ids, numbered by the flat builders' edge-id pass.
+// So slots follow id order and edge ids lexicographic order, the layout
+// FreezeStatic produces. It sorts keys in place.
+func fromPairKeys(keys []int64) *Graph {
+	slices.Sort(keys)
+	keys = slices.Compact(keys)
+	if len(keys) >= math.MaxInt32 {
+		panic("graph: edge count exceeds int32 capacity")
+	}
+	var orig []Vertex
+	var rowPtr []int32
+	for k, key := range keys {
+		if u := Vertex(key >> 32); len(orig) == 0 || u != orig[len(orig)-1] { //trikcheck:checked the high half of a key is an int32 id
+			orig = append(orig, u)
+			rowPtr = append(rowPtr, int32(k)) //trikcheck:checked k < len(keys) < MaxInt32, guarded above
+		}
+	}
+	rowPtr = append(rowPtr, int32(len(keys))) //trikcheck:checked guarded above
+	pos := vertexIndex(orig)
+	adjNbr := make([]int32, len(keys))
+	parallelBlocks(len(orig), func(lo, hi int) {
+		for k := rowPtr[lo]; k < rowPtr[hi]; k++ {
+			adjNbr[k] = pos[Vertex(uint32(keys[k])^1<<31)] //trikcheck:checked the low half of a key is an int32 id
+		}
+	})
+	m := len(keys) / 2
+	f := flatCSR{
+		orig: orig, rowPtr: rowPtr, adjNbr: adjNbr, adjEID: make([]int32, len(keys)),
+		edgeU: make([]int32, m), edgeV: make([]int32, m),
+	}
+	f.fillEdgeIDs()
+	return &Graph{d: *newDenseRows(orig, pos, f.edgeU, f.edgeV, f.row)}
 }

@@ -17,8 +17,8 @@ import "fmt"
 //   - edge slots partition into live edges (counted by ne, each present
 //     in exactly its two endpoint rows) and free-list slots.
 //
-// It is O(V + E log deg). Under the trikdebug build tag every mutating
-// operation asserts it; see debugAssert.
+// It is O(V + E log deg). Under the trikdebug build tag every exported
+// mutating operation asserts it; see debugAssert.
 func (d *Dense) CheckInvariants() error {
 	n := len(d.orig)
 	if len(d.vlive) != n || len(d.rows) != n {
@@ -127,8 +127,9 @@ func (d *Dense) CheckInvariants() error {
 }
 
 // debugAssert panics on the first invariant violation when the trikdebug
-// build tag is set, and compiles to nothing otherwise. Every mutating
-// Dense operation calls it on exit.
+// build tag is set, and compiles to nothing otherwise. Every exported
+// mutating Dense operation calls it on exit; Graph mutates through the
+// unexported bodies, which do not.
 func (d *Dense) debugAssert() {
 	if !debugChecks {
 		return

@@ -58,18 +58,18 @@ func ReadEdgeListFunc(r io.Reader, fn func(u, v Vertex) error) error {
 }
 
 // ReadEdgeList parses a whitespace-separated edge list from r into a
-// Graph. It is ReadEdgeListFunc with edges accumulated: duplicate edges
-// and both orientations of the same edge are tolerated; self-loops are
-// rejected.
+// Graph. It is ReadEdgeListFunc with edges accumulated and the graph
+// built in bulk, like FromEdges: duplicate edges and both orientations
+// of the same edge are tolerated; self-loops are rejected.
 func ReadEdgeList(r io.Reader) (*Graph, error) {
-	g := New()
+	var keys []int64
 	if err := ReadEdgeListFunc(r, func(u, v Vertex) error {
-		g.AddEdge(u, v)
+		keys = appendPair(keys, u, v)
 		return nil
 	}); err != nil {
 		return nil, err
 	}
-	return g, nil
+	return fromPairKeys(keys), nil
 }
 
 // ScanEdgeListFile opens the named file and streams it through

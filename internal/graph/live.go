@@ -53,33 +53,17 @@ func (la *LiveAdj) RemoveEdge(i int32) {
 	la.removeFromRow(v, u)
 }
 
-// searchRow binary-searches for neighbor w in la.row[lo:hi], returning
-// the insertion point within [lo, hi] and whether the entry there is w.
-func (la *LiveAdj) searchRow(lo, hi, w int32) (int32, bool) {
-	key := int64(w) << 32
-	a := la.row
-	end := hi
-	for lo < hi {
-		mid := (lo + hi) >> 1
-		if a[mid] < key {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo, lo < end && a[lo]>>32 == int64(w)
-}
-
 // removeFromRow deletes w from u's live row, preserving sort order with a
 // tail shift (cheap: rows are short by the time heavy vertices peel, and
 // the shift is a single memmove of packed entries).
 func (la *LiveAdj) removeFromRow(u, w int32) {
 	lo, hi := la.start[u], la.end[u]
-	at, ok := la.searchRow(lo, hi, w)
+	at, ok := packedSearch(la.row[lo:hi], w)
 	if !ok {
 		return
 	}
-	copy(la.row[at:hi-1], la.row[at+1:hi])
+	k := lo + int32(at) //trikcheck:checked at ≤ hi - lo, an int32 row length
+	copy(la.row[k:hi-1], la.row[k+1:hi])
 	la.end[u] = hi - 1
 }
 
@@ -88,54 +72,8 @@ func (la *LiveAdj) Degree(u int32) int { return int(la.end[u] - la.start[u]) }
 
 // ForEachTriangleEdge calls fn for each triangle {u, v, w} whose edges
 // {u, w} and {v, w} are both live, passing w (ascending) and the two
-// dense edge ids. Balanced rows are intersected by linear merge; badly
-// skewed pairs (a low-degree vertex peeled against a still-fat hub row,
-// the common case early in a power-law peel) switch to binary search over
-// the larger row, turning O(d_u + d_v) into O(d_min · log d_max). If fn
-// returns false the iteration stops.
+// dense edge ids (see mergeRows). If fn returns false the iteration
+// stops.
 func (la *LiveAdj) ForEachTriangleEdge(u, v int32, fn func(w, e1, e2 int32) bool) {
-	i, iEnd := la.start[u], la.end[u]
-	j, jEnd := la.start[v], la.end[v]
-	a := la.row
-	du, dv := iEnd-i, jEnd-j
-	if du > 16*dv || dv > 16*du {
-		// Probe with the smaller row; swap yields e1/e2 back into
-		// {u,w}/{v,w} order when the roles flip.
-		swapped := du > dv
-		if swapped {
-			i, iEnd, j, jEnd = j, jEnd, i, iEnd
-		}
-		for ; i < iEnd && j < jEnd; i++ {
-			w := int32(a[i] >> 32)
-			at, ok := la.searchRow(j, jEnd, w)
-			j = at // insertion point: everything before it sorts below w
-			if !ok {
-				continue
-			}
-			e1, e2 := int32(uint32(a[i])), int32(uint32(a[j]))
-			if swapped {
-				e1, e2 = e2, e1
-			}
-			if !fn(w, e1, e2) {
-				return
-			}
-			j++
-		}
-		return
-	}
-	for i < iEnd && j < jEnd {
-		x, y := a[i]>>32, a[j]>>32
-		switch {
-		case x < y:
-			i++
-		case x > y:
-			j++
-		default:
-			if !fn(int32(x), int32(uint32(a[i])), int32(uint32(a[j]))) { //trikcheck:checked x = packed>>32, a dense position
-				return
-			}
-			i++
-			j++
-		}
-	}
+	mergeRows(la.row[la.start[u]:la.end[u]], la.row[la.start[v]:la.end[v]], fn)
 }

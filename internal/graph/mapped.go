@@ -388,13 +388,13 @@ func createSized(path string, size int64) (*fileMap, error) {
 }
 
 // fillMapped writes every section of the output mapping: the header,
-// the compacted symmetric CSR, the lexicographic edge-id assignment
-// (identical to FreezeStatic pass 2) and the degree-oriented half.
+// the compacted symmetric CSR, the lexicographic edge-id assignment and
+// the degree-oriented half, both through the flat builders' passes.
 func fillMapped(data []byte, lay mappedLayout, verts []Vertex, bound, finalLen, adj []int32) error {
 	n, m := lay.n, lay.m
 	lay.encodeHeader(data)
 	f := lay.flat(data)
-	rowPtr, adjNbr, adjEID, edgeU, edgeV := f.rowPtr, f.adjNbr, f.adjEID, f.edgeU, f.edgeV
+	rowPtr, adjNbr := f.rowPtr, f.adjNbr
 	copy(f.orig, verts)
 
 	rowPtr[0] = 0
@@ -406,36 +406,7 @@ func fillMapped(data []byte, lay mappedLayout, verts []Vertex, bound, finalLen, 
 		return fmt.Errorf("graph: internal error: row total %d, want %d", rowPtr[n], 2*m)
 	}
 
-	// Edge-id assignment: ids are consecutive per lower endpoint in
-	// lexicographic order; mirror entries recover the id by ranking the
-	// lower endpoint in the upper endpoint's row (FreezeStatic pass 2,
-	// run sequentially against the mapped arrays).
-	edgeStart := make([]int32, n+1)
-	for u := 0; u < n; u++ {
-		row := adjNbr[rowPtr[u]:rowPtr[u+1]]
-		split, _ := slices.BinarySearch(row, int32(u))        //trikcheck:checked u < n < MaxInt32, layout-guarded
-		edgeStart[u+1] = edgeStart[u] + int32(len(row)-split) //trikcheck:checked row lengths sum to 2m ≤ MaxInt32
-	}
-	for i := 0; i < n; i++ {
-		u := int32(i) //trikcheck:checked i < n < MaxInt32, layout-guarded
-		base := rowPtr[i]
-		row := adjNbr[base:rowPtr[i+1]]
-		split, _ := slices.BinarySearch(row, u)
-		for k, w := range row {
-			if w > u {
-				id := edgeStart[i] + int32(k-split) //trikcheck:checked k < len(row) ≤ 2m, layout-guarded
-				adjEID[base+int32(k)] = id          //trikcheck:checked k < len(row) ≤ 2m, layout-guarded
-				edgeU[id] = u
-				edgeV[id] = w
-			} else {
-				wrow := adjNbr[rowPtr[w]:rowPtr[w+1]]
-				wsplit, _ := slices.BinarySearch(wrow, w)
-				p, _ := slices.BinarySearch(wrow, u)
-				adjEID[base+int32(k)] = edgeStart[w] + int32(p-wsplit) //trikcheck:checked indices bounded by 2m, layout-guarded
-			}
-		}
-	}
-
+	f.fillEdgeIDs()
 	f.fillOriented()
 	return nil
 }

@@ -79,98 +79,59 @@ type rowChunk struct {
 const freezeBlock = 256
 
 // FreezeStatic builds a Static view of g. The view shares nothing with g;
-// later mutation of g does not affect it. Row filling, sorting and edge-id
-// assignment run in parallel over vertex blocks.
+// later mutation of g does not affect it. Positions ascend by vertex id
+// and edge ids are lexicographic whatever g's slot order: the view reads
+// g's rows through a slot → position rank array. Row filling, sorting and
+// edge-id assignment run in parallel over vertex blocks.
 func FreezeStatic(g *Graph) *Static {
-	verts := g.Vertices()
-	n := len(verts)
-	m := g.NumEdges()
+	d := &g.d
+	n, m := d.nv, d.ne
 	// Every CSR index — vertex positions, edge ids and the 2M adjacency
 	// offsets — is an int32. Refuse graphs that would overflow instead of
 	// silently truncating; the //trikcheck:checked annotations on the
 	// int32 narrowings below all cite this guard.
-	if n >= math.MaxInt32 {
-		panic("graph: FreezeStatic vertex count exceeds int32 capacity")
-	}
 	if m > math.MaxInt32/2 {
 		panic("graph: FreezeStatic edge count exceeds int32 capacity")
 	}
-	// posOf is the build's own id → position table; the view looks
-	// vertices up by binary search of its ascending OrigID instead.
-	posOf := make(map[Vertex]int32, n)
-	for i, v := range verts {
-		posOf[v] = int32(i) //trikcheck:checked i < n, guarded above
+	// slotAt lists the live slots by ascending id. Bulk-built graphs and
+	// graphs grown in id order have that order, so ranking keeps rows sorted.
+	slotAt := make([]int32, 0, n)
+	for p, live := range d.vlive {
+		if live {
+			slotAt = append(slotAt, int32(p)) //trikcheck:checked p indexes vlive, bounded to int32 by Intern
+		}
 	}
+	byID := func(a, b int32) int { return int(d.orig[a]) - int(d.orig[b]) }
+	inOrder := slices.IsSortedFunc(slotAt, byID)
+	if !inOrder {
+		slices.SortFunc(slotAt, byID)
+	}
+	rank := make([]int32, len(d.orig))
+	orig := make([]Vertex, n)
 	rowPtr := make([]int32, n+1)
-	for i, v := range verts {
-		rowPtr[i+1] = rowPtr[i] + int32(g.Degree(v)) //trikcheck:checked degree ≤ 2m, guarded above
+	for i, p := range slotAt {
+		rank[p] = int32(i) //trikcheck:checked i < n, bounded to int32 by Intern
+		orig[i] = d.orig[p]
+		rowPtr[i+1] = rowPtr[i] + int32(len(d.rows[p])) //trikcheck:checked degree ≤ 2m, guarded above
 	}
 	adjNbr := make([]int32, 2*m)
-	adjEID := make([]int32, 2*m)
-	edgeU := make([]int32, m)
-	edgeV := make([]int32, m)
-
-	// Pass 1: fill each row with dense neighbor positions and sort it.
-	// Concurrent reads of g's maps are safe.
 	parallelBlocks(n, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			row := adjNbr[rowPtr[i]:rowPtr[i+1]]
-			k := 0
-			g.ForEachNeighbor(verts[i], func(w Vertex) bool {
-				row[k] = posOf[w]
-				k++
-				return true
-			})
-			slices.Sort(row)
-		}
-	})
-
-	// edgeStart[u] is the id of the first edge whose lower endpoint is u:
-	// count each row's upper neighbors in parallel, then prefix-sum.
-	edgeStart := make([]int32, n+1)
-	parallelBlocks(n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			row := adjNbr[rowPtr[i]:rowPtr[i+1]]
-			split, _ := slices.BinarySearch(row, int32(i)) //trikcheck:checked i < n, guarded above
-			edgeStart[i+1] = int32(len(row) - split)       //trikcheck:checked row lengths sum to 2m, guarded above
-		}
-	})
-	for i := 0; i < n; i++ {
-		edgeStart[i+1] += edgeStart[i]
-	}
-
-	// Pass 2: assign edge ids. Entries w > u in row u get consecutive ids
-	// from edgeStart[u] (and define edgeU/edgeV); entries w < u mirror the
-	// id assigned in row w, recovered by ranking u within that row. Each
-	// worker writes only its own rows' adjEID entries and the edgeU/V
-	// slots its rows own, so the passes are data-race free.
-	parallelBlocks(n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			u := int32(i) //trikcheck:checked i < n, guarded above
-			base := rowPtr[i]
-			row := adjNbr[base:rowPtr[i+1]]
-			split, _ := slices.BinarySearch(row, u)
-			for k, w := range row {
-				if w > u {
-					id := edgeStart[i] + int32(k-split) //trikcheck:checked k < len(row) ≤ 2m, guarded above
-					adjEID[base+int32(k)] = id          //trikcheck:checked k < len(row) ≤ 2m, guarded above
-					edgeU[id] = u
-					edgeV[id] = w
-				} else {
-					wrow := adjNbr[rowPtr[w]:rowPtr[w+1]]
-					wsplit, _ := slices.BinarySearch(wrow, w)
-					pos, _ := slices.BinarySearch(wrow, u)
-					adjEID[base+int32(k)] = edgeStart[w] + int32(pos-wsplit) //trikcheck:checked indices bounded by 2m, guarded above
-				}
+			for k, packed := range d.rows[slotAt[i]] {
+				row[k] = rank[packed>>32]
+			}
+			if !inOrder {
+				slices.Sort(row)
 			}
 		}
 	})
-
-	// Pass 3: the oriented half.
 	f := flatCSR{
-		orig: verts, rowPtr: rowPtr, adjNbr: adjNbr, adjEID: adjEID, edgeU: edgeU, edgeV: edgeV,
+		orig: orig, rowPtr: rowPtr, adjNbr: adjNbr, adjEID: make([]int32, 2*m),
+		edgeU: make([]int32, m), edgeV: make([]int32, m),
 		outPtr: make([]int32, n+1), outNbr: make([]int32, m), outEID: make([]int32, m),
 	}
+	f.fillEdgeIDs()
 	f.fillOriented()
 	return f.static()
 }
@@ -223,6 +184,61 @@ func (s *Static) flatten(f flatCSR) {
 	for i := range f.edgeU {
 		f.edgeU[i], f.edgeV[i] = s.Endpoints(int32(i)) //trikcheck:checked i < m, bounded to int32 at freeze
 	}
+}
+
+// row returns f's row u: sorted neighbor positions and the parallel edge
+// ids.
+func (f flatCSR) row(u int32) (nbr, eid []int32) {
+	lo, hi := f.rowPtr[u], f.rowPtr[u+1]
+	return f.adjNbr[lo:hi], f.adjEID[lo:hi]
+}
+
+// fillEdgeIDs assigns f's edge ids from its symmetric rows, in
+// lexicographic (u, v) order of positions: entries w > u in row u get
+// consecutive ids from edgeStart[u] (and define edgeU/edgeV); entries
+// w < u mirror the id assigned in row w, recovered by ranking u within
+// that row. Each worker writes only its own rows' adjEID entries and the
+// endpoint slots its rows own, so the passes are data-race free.
+// FreezeStatic, the bulk Graph builder and the mapped-file builder all
+// assign ids through it; callers bound the vertex and edge counts to
+// int32 range first.
+func (f flatCSR) fillEdgeIDs() {
+	rowPtr, adjNbr := f.rowPtr, f.adjNbr
+	n := len(rowPtr) - 1
+	// edgeStart[u] is the id of the first edge whose lower endpoint is u:
+	// count each row's upper neighbors in parallel, then prefix-sum.
+	edgeStart := make([]int32, n+1)
+	parallelBlocks(n, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			row := adjNbr[rowPtr[i]:rowPtr[i+1]]
+			split, _ := slices.BinarySearch(row, int32(i)) //trikcheck:checked i < n, guarded by the caller
+			edgeStart[i+1] = int32(len(row) - split)       //trikcheck:checked row lengths sum to 2m, guarded by the caller
+		}
+	})
+	for i := 0; i < n; i++ {
+		edgeStart[i+1] += edgeStart[i]
+	}
+	parallelBlocks(n, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			u := int32(i) //trikcheck:checked i < n, guarded by the caller
+			base := rowPtr[i]
+			row := adjNbr[base:rowPtr[i+1]]
+			split, _ := slices.BinarySearch(row, u)
+			for k, w := range row {
+				if w > u {
+					id := edgeStart[i] + int32(k-split) //trikcheck:checked k < len(row) ≤ 2m, guarded by the caller
+					f.adjEID[base+int32(k)] = id        //trikcheck:checked k < len(row) ≤ 2m, guarded by the caller
+					f.edgeU[id] = u
+					f.edgeV[id] = w
+				} else {
+					wrow := adjNbr[rowPtr[w]:rowPtr[w+1]]
+					wsplit, _ := slices.BinarySearch(wrow, w)
+					pos, _ := slices.BinarySearch(wrow, u)
+					f.adjEID[base+int32(k)] = edgeStart[w] + int32(pos-wsplit) //trikcheck:checked indices bounded by 2m, guarded by the caller
+				}
+			}
+		}
+	})
 }
 
 // fillOriented computes f's degree-oriented half from its symmetric rows:
@@ -544,20 +560,10 @@ func countMerge(a, b []int32) int {
 }
 
 // Materialize builds a standalone mutable Graph holding the same
-// vertices and edges as the view. It shares nothing with the view, so
-// it outlives a mapped file's Close.
-func (s *Static) Materialize() *Graph {
-	g := NewWithCapacity(s.NumVertices())
-	for _, v := range s.OrigID {
-		g.AddVertex(v)
-	}
-	s.ForEachEdgeID(func(i int32) bool {
-		u, v := s.Endpoints(i)
-		g.AddEdge(s.OrigID[u], s.OrigID[v])
-		return true
-	})
-	return g
-}
+// vertices and edges as the view, with the view's positions as its slots
+// and the view's edge ids. It shares nothing with the view, so it
+// outlives a mapped file's Close.
+func (s *Static) Materialize() *Graph { return &Graph{d: *NewDenseFromStatic(s)} }
 
 // TriangleCount returns the total number of triangles in the graph using
 // the oriented listing, which touches each triangle once instead of

@@ -331,7 +331,7 @@ func TestQuotaErrorMessage(t *testing.T) {
 
 // diffEvents is the feed's first renderer, kept as the reference: a map
 // over every edge of prev diffed against cur, then Algorithm 4 over both
-// snapshots materialized as map graphs, with template.Evolving novelty.
+// snapshots materialized as graph.Graph, with template.Evolving novelty.
 func diffEvents(prev, cur *view.Snapshot, firstID uint64) []Event {
 	type change struct {
 		e        graph.Edge

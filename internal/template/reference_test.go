@@ -13,7 +13,7 @@ import (
 )
 
 // detectReference is Algorithm 4 as first written: two triangle passes
-// over the map graph and the map-based density plot. The CSR body must
+// over graph.Graph and the map-based density plot. The CSR body must
 // reproduce it exactly.
 func detectReference(g *graph.Graph, spec Spec) *Result {
 	r := &Result{Spec: spec, Special: graph.New()}
