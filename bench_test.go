@@ -414,6 +414,63 @@ func BenchmarkEngineChurn(b *testing.B) {
 			}
 		})
 	}
+	// The bulk sub-benches are the ingest workload's shape: 1000+1000
+	// batches on the 405k-edge Epinions stand-in at 1 and 2 workers. One
+	// op is one batch; listings/op counts the row merges κ maintenance
+	// ran for it (Stats.TriangleListings).
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("BulkEpinions%d", workers), func(b *testing.B) {
+			if testing.Short() {
+				b.Skip("405k-edge stand-in; skipped under -short")
+			}
+			g, batches := epinionsBulk()
+			en := dynamic.NewEngine(g)
+			en.ApplyBatchParallel(batches[0], workers)
+			listings := en.Stats().TriangleListings
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				en.ApplyBatchParallel(batches[1+i%(len(batches)-1)], workers)
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(en.Stats().TriangleListings-listings)/float64(b.N), "listings/op")
+		})
+	}
+}
+
+var (
+	bulkOnce    sync.Once
+	bulkGraph   *graph.Graph
+	bulkBatches [][]dynamic.EdgeOp
+)
+
+// epinionsBulk returns the Epinions stand-in and a cyclic bulk-loader
+// stream over 32 blocks of 1000 edges drawn from a seeded permutation:
+// entry 0 deletes the last block, and entry j+1 deletes block j and
+// re-inserts block j-1, so replaying entries 1..32 in a loop keeps
+// exactly one block absent.
+func epinionsBulk() (*graph.Graph, [][]dynamic.EdgeOp) {
+	bulkOnce.Do(func() {
+		d, _ := dataset.ByName("Epinions")
+		bulkGraph = d.Graph()
+		edges := bulkGraph.Edges()
+		perm := rand.New(rand.NewSource(11)).Perm(len(edges))
+		const nb, size = 32, 1000
+		block := func(j int, del bool) []dynamic.EdgeOp {
+			j = (j + nb) % nb
+			ops := make([]dynamic.EdgeOp, size)
+			for i := range ops {
+				e := edges[perm[j*size+i]]
+				ops[i] = dynamic.EdgeOp{U: e.U, V: e.V, Del: del}
+			}
+			return ops
+		}
+		bulkBatches = [][]dynamic.EdgeOp{block(nb-1, true)}
+		for j := 0; j < nb; j++ {
+			bulkBatches = append(bulkBatches, append(block(j, true), block(j-1, false)...))
+		}
+	})
+	return bulkGraph, bulkBatches
 }
 
 // --- CSR kernel benchmarks (ISSUE 1) --------------------------------------

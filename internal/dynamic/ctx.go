@@ -3,9 +3,9 @@ package dynamic
 import "fmt"
 
 // applyCtx is the execution context of κ maintenance: the traversal
-// scratch, the per-update "off" triangle set, and the κ access funnel the
-// per-triangle update steps (update.go) run against. Two kinds of context
-// exist:
+// scratch, the per-update "off" triangle set, the per-op triangle memo,
+// and the κ access funnel the per-triangle update steps (update.go) run
+// against. Two kinds of context exist:
 //
 //   - the engine's own serial context (Engine.ser, staged == false):
 //     κ reads hit Engine.kappa directly and κ writes go straight through
@@ -35,6 +35,10 @@ type applyCtx struct {
 	offU, offV int32
 	offStamp   []uint32
 	offGen     uint32
+
+	// memo lists each edge's triangles once per op (memo.go); beginOff
+	// resets it with the off set.
+	memo triMemo
 
 	// Staging overlay (worker contexts only). sKappa[e] is the staged κ of
 	// edge e when sMark[e] == gen (-1 = staged deletion); rMark stamps the
@@ -149,8 +153,8 @@ func (c *applyCtx) edgeActive(e int32) bool {
 	return c.en.pendMark[e] != c.en.pendGen && c.en.kappa[e] >= 0
 }
 
-// beginOff opens an off-set epoch for the edge with dense endpoints
-// (du, dv).
+// beginOff opens an op: the off-set epoch for the edge with dense
+// endpoints (du, dv), and an empty triangle memo.
 func (c *applyCtx) beginOff(du, dv int32) {
 	c.offGen++
 	if c.offGen == 0 {
@@ -162,9 +166,10 @@ func (c *applyCtx) beginOff(du, dv int32) {
 		c.offGen = 1
 	}
 	c.offU, c.offV = du, dv
+	c.memo.reset()
 }
 
-// endOff closes the epoch, clearing the stamps of the listed (w, e1, e2)
+// endOff closes the op, clearing the stamps of the listed (w, e1, e2)
 // triples. The generation bump in beginOff already retires them; clearing
 // keeps stamps from surviving a full generation wrap.
 func (c *applyCtx) endOff(tris []int32) {
@@ -192,54 +197,65 @@ func (c *applyCtx) triOff(p, q, w int32) bool {
 	return c.offStamp[third] == c.offGen
 }
 
+// coEdgesActive reports whether both co-edges of a triangle are logically
+// present: always on the serial context, by edgeActive (recording both
+// reads) on staged ones.
+func (c *applyCtx) coEdgesActive(e1, e2 int32) bool {
+	if !c.staged {
+		return true
+	}
+	a1 := c.edgeActive(e1)
+	return c.edgeActive(e2) && a1
+}
+
 // forEachActiveTriangleOn iterates the active triangles containing edge
-// eid, passing the third dense vertex and the other two dense edge ids.
-// Staged contexts additionally drop triangles with a logically absent
-// co-edge (pending inserts of the batch, staged or merged deletions).
+// eid during an op, passing the third dense vertex and the other two
+// dense edge ids. It reads eid's listing from the op's memo and filters
+// it on every visit: triangles in the off set are skipped, and staged
+// contexts additionally drop triangles with a logically absent co-edge
+// (pending inserts of the batch, staged or merged deletions).
 func (c *applyCtx) forEachActiveTriangleOn(eid int32, fn func(w, e1, e2 int32) bool) {
 	u, v := c.en.d.EdgeEndpoints(eid)
-	c.en.d.ForEachTriangleEdgeD(u, v, func(w, e1, e2 int32) bool {
-		if c.triOff(u, v, w) {
-			return true
+	tris := c.listing(eid)
+	// An off triangle contains the updating edge, so a triangle on eid can
+	// be off only if eid shares an endpoint with it.
+	mayBeOff := u == c.offU || u == c.offV || v == c.offU || v == c.offV
+	for i := 0; i < len(tris); i += 3 {
+		w, e1, e2 := tris[i], tris[i+1], tris[i+2]
+		if (mayBeOff && c.triOff(u, v, w)) || (c.staged && !c.coEdgesActive(e1, e2)) {
+			continue
 		}
-		if c.staged {
-			a1 := c.edgeActive(e1)
-			if !c.edgeActive(e2) || !a1 {
-				return true
-			}
+		if !fn(w, e1, e2) {
+			return
 		}
-		return fn(w, e1, e2)
-	})
+	}
 }
 
 // processEdgeInsert performs the κ maintenance of inserting edge eid,
 // which must already be structurally present with all its triangles
 // off. The new edge forms one triangle per common neighbor; they are
 // activated one at a time (Algorithm 2 step 1 / Algorithm 5 outer loop):
-// all start excluded, then each is switched on and processed.
-func (c *applyCtx) processEdgeInsert(eid int32, tris *[]int32) {
+// all start excluded, then each is switched on and processed. Triangles
+// a staged context drops are never stamped off, which is how the second
+// pass tells them apart.
+func (c *applyCtx) processEdgeInsert(eid int32) {
 	c.setK(eid, -1, 0)
 	c.stats.Insertions++
 	du, dv := c.en.d.EdgeEndpoints(eid)
 	c.beginOff(du, dv)
-	buf := (*tris)[:0]
-	c.en.d.ForEachTriangleEdgeD(du, dv, func(w, e1, e2 int32) bool {
-		if c.staged {
-			a1 := c.edgeActive(e1)
-			if !c.edgeActive(e2) || !a1 {
-				return true
-			}
+	tris := c.listing(eid)
+	for i := 0; i < len(tris); i += 3 {
+		if c.coEdgesActive(tris[i+1], tris[i+2]) {
+			c.offStamp[tris[i]] = c.offGen
 		}
-		c.offStamp[w] = c.offGen
-		buf = append(buf, w, e1, e2)
-		return true
-	})
-	for i := 0; i < len(buf); i += 3 {
-		c.offStamp[buf[i]] = 0
-		c.processTriangleInsert(eid, buf[i+1], buf[i+2])
 	}
-	*tris = buf
-	c.endOff(buf)
+	for i := 0; i < len(tris); i += 3 {
+		if c.offStamp[tris[i]] == c.offGen {
+			c.offStamp[tris[i]] = 0
+			c.processTriangleInsert(eid, tris[i+1], tris[i+2])
+		}
+	}
+	c.endOff(tris)
 }
 
 // processEdgeDelete performs the κ maintenance of deleting edge eid: each
@@ -248,24 +264,16 @@ func (c *applyCtx) processEdgeInsert(eid int32, tris *[]int32) {
 // (new = -1) goes through the funnel. The structural removal is the
 // caller's job — immediately after on the serial path, in the batch
 // post-pass on the parallel path.
-func (c *applyCtx) processEdgeDelete(eid int32, tris *[]int32) {
+func (c *applyCtx) processEdgeDelete(eid int32) {
 	c.stats.Deletions++
 	du, dv := c.en.d.EdgeEndpoints(eid)
 	c.beginOff(du, dv)
-	buf := (*tris)[:0]
-	c.en.d.ForEachTriangleEdgeD(du, dv, func(w, e1, e2 int32) bool {
-		if c.staged {
-			a1 := c.edgeActive(e1)
-			if !c.edgeActive(e2) || !a1 {
-				return true
-			}
+	tris := c.listing(eid)
+	for i := 0; i < len(tris); i += 3 {
+		if c.coEdgesActive(tris[i+1], tris[i+2]) {
+			c.offStamp[tris[i]] = c.offGen
+			c.processTriangleDelete(eid, tris[i+1], tris[i+2])
 		}
-		buf = append(buf, w, e1, e2)
-		return true
-	})
-	for i := 0; i < len(buf); i += 3 {
-		c.offStamp[buf[i]] = c.offGen
-		c.processTriangleDelete(eid, buf[i+1], buf[i+2])
 	}
 	if k := c.kappaOf(eid); k != 0 {
 		// Every triangle on the edge has been deactivated, so a correct
@@ -275,6 +283,5 @@ func (c *applyCtx) processEdgeDelete(eid int32, tris *[]int32) {
 	// The deletion transition fires while the edge is still structurally
 	// live so observers can resolve its endpoints.
 	c.setK(eid, 0, -1)
-	*tris = buf
-	c.endOff(buf)
+	c.endOff(tris)
 }

@@ -26,8 +26,12 @@
 // and the κ-histogram are flat slices indexed by dense edge id, the
 // mid-update "off" triangle set is a generation-stamped vertex array, and
 // traversal scratch is engine-owned and reused across updates. Every
-// mutation runs as a batch (ApplyBatchContext), which amortizes the
-// per-edge triangle buffer across the whole batch. See DESIGN.md §6.
+// mutation runs as a batch (ApplyBatchContext) of edge operations, and
+// each operation lists an edge's triangles at most once: a per-op memo
+// keeps the (w, e1, e2) triples of every edge the operation's Rule 0
+// searches enumerate, indexed by a small generation-stamped table rather
+// than per-edge arrays, reset when the next operation opens and capped
+// in size. See DESIGN.md §6.
 package dynamic
 
 import (
@@ -122,7 +126,6 @@ type scratch struct {
 	touched   []int32 // edge ids with nonzero st, for O(step) reset
 	stack     []int32 // insertSearch work stack
 	queue     []int32 // deletion recheck queue
-	tris      []int32 // (w, e1, e2) triples of the updating edge's triangles
 	ops       []EdgeOp
 }
 
@@ -139,6 +142,11 @@ type Stats struct {
 	EdgesVisited int
 	// Promotions and Demotions count κ changes (±1 each).
 	Promotions, Demotions int
+	// TriangleListings counts the row merges κ maintenance ran to list an
+	// edge's triangles: one per distinct edge an op enumerates, its own
+	// included (the per-op memo serves repeat visits), plus re-listings
+	// after the memo's cap flushed it.
+	TriangleListings int
 }
 
 // NewEngine builds an engine over a private dense copy of g, initializing
@@ -396,7 +404,7 @@ func (en *Engine) insertEdgeCanon(u, v graph.Vertex) bool {
 	}
 	en.ensureEdgeCap()
 	en.ensureVertexCap()
-	en.ser.processEdgeInsert(eid, &en.ser.sc.tris)
+	en.ser.processEdgeInsert(eid)
 	return true
 }
 
@@ -407,17 +415,20 @@ func (en *Engine) deleteEdgeCanon(u, v graph.Vertex) bool {
 	if eid < 0 {
 		return false
 	}
-	en.ser.processEdgeDelete(eid, &en.ser.sc.tris)
+	en.ser.processEdgeDelete(eid)
 	en.d.RemoveEdgeByID(eid)
 	return true
 }
 
 // forEachActiveTriangleOn iterates the active triangles containing edge
 // eid, passing the third dense vertex and the other two dense edge ids.
-// Query paths between updates use it; the serial context's off epoch is
-// closed then, so every combinatorial triangle is active.
+// Query paths between updates use it. No op is open then, so every
+// combinatorial triangle is active and the rows are merged directly: the
+// serial context's memo describes its last op's structure, which a later
+// deletion or slot reuse may have changed.
 func (en *Engine) forEachActiveTriangleOn(eid int32, fn func(w, e1, e2 int32) bool) {
-	en.ser.forEachActiveTriangleOn(eid, fn)
+	u, v := en.d.EdgeEndpoints(eid)
+	en.d.ForEachTriangleEdgeD(u, v, fn)
 }
 
 // ApplyDiff applies a snapshot diff: removed edges, removed vertices,

@@ -45,10 +45,14 @@ func (en *Engine) CheckInvariants() error {
 			len(ser.offStamp), en.d.VertexCap())
 	}
 
-	// Between public updates no off epoch is open and no traversal marks
-	// linger; a leak here means a later update would silently skip edges.
-	if ser.offU != -1 || ser.offV != -1 {
-		return fmt.Errorf("dynamic: off epoch still open on dense edge {%d, %d}", ser.offU, ser.offV)
+	// Between public updates no op is open on any context — no off epoch,
+	// and so no triangle memo a traversal could read — and no traversal
+	// marks linger; a leak here means a later update would silently skip
+	// edges or read a stale listing.
+	for i, c := range append([]*applyCtx{ser}, en.par.ctxs...) {
+		if c.offU != -1 || c.offV != -1 {
+			return fmt.Errorf("dynamic: op still open on context %d, dense edge {%d, %d}", i, c.offU, c.offV)
+		}
 	}
 	if len(ser.sc.touched) != 0 {
 		return fmt.Errorf("dynamic: %d traversal marks not reset", len(ser.sc.touched))

@@ -105,6 +105,7 @@ type engineMetrics struct {
 	demotions  *obs.Counter
 	triangles  *obs.Counter
 	cascade    *obs.Counter
+	listings   *obs.Counter
 
 	liveEdges      *obs.Gauge
 	liveVertices   *obs.Gauge
@@ -147,6 +148,8 @@ func (en *Engine) Instrument(reg *obs.Registry) {
 			"Per-triangle update steps executed.", nil),
 		cascade: reg.Counter("trikcore_engine_cascade_edges_visited_total",
 			"Edges touched by candidate collection, support recomputation and cascades.", nil),
+		listings: reg.Counter("trikcore_engine_triangle_listings_total",
+			"Row merges run to list an edge's triangles; the per-op memo serves repeat visits.", nil),
 
 		liveEdges: reg.Gauge("trikcore_engine_live_edges",
 			"Live edges in the dense substrate.", nil),
@@ -177,6 +180,7 @@ func (mt *engineMetrics) recordDelta(en *Engine, before Stats) {
 	mt.demotions.Add(uint64(after.Demotions - before.Demotions))
 	mt.triangles.Add(uint64(after.TrianglesProcessed - before.TrianglesProcessed))
 	mt.cascade.Add(uint64(after.EdgesVisited - before.EdgesVisited))
+	mt.listings.Add(uint64(after.TriangleListings - before.TriangleListings))
 	mt.syncGauges(en)
 }
 

@@ -80,6 +80,9 @@ func TestInstrumentRecordsMutations(t *testing.T) {
 	if !strings.Contains(expo, "trikcore_engine_triangles_processed_total "+strconv.Itoa(st.TrianglesProcessed)) {
 		t.Errorf("triangles counter != Stats.TrianglesProcessed = %d", st.TrianglesProcessed)
 	}
+	if st.TriangleListings == 0 || !strings.Contains(expo, "trikcore_engine_triangle_listings_total "+strconv.Itoa(st.TriangleListings)) {
+		t.Errorf("listings counter != Stats.TriangleListings = %d", st.TriangleListings)
+	}
 }
 
 func TestInstrumentNopRegistry(t *testing.T) {

@@ -275,12 +275,12 @@ func (c *applyCtx) execRegion(rg *region) {
 	c.stats = &rg.stats
 	for _, op := range rg.ops {
 		if op.del {
-			c.processEdgeDelete(op.eid, &c.sc.tris)
+			c.processEdgeDelete(op.eid)
 		}
 	}
 	for _, op := range rg.ops {
 		if !op.del {
-			c.processEdgeInsert(op.eid, &c.sc.tris)
+			c.processEdgeInsert(op.eid)
 		}
 	}
 	rg.reads = append(rg.reads[:0], c.reads...)
@@ -323,4 +323,5 @@ func (s *Stats) accumulate(o Stats) {
 	s.EdgesVisited += o.EdgesVisited
 	s.Promotions += o.Promotions
 	s.Demotions += o.Demotions
+	s.TriangleListings += o.TriangleListings
 }
