@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet fmt lint perfbench race debugrace bench loadbench fuzz fuzzchurn fuzzexternal ci
+.PHONY: all build test vet fmt lint perfbench race debugrace bench loadbench fuzz fuzzchurn fuzzexternal fuzzparse ci
 
 all: ci
 
@@ -55,11 +55,12 @@ debugrace:
 	GORACE=halt_on_error=1 $(GO) test -tags trikdebug -race ./internal/graph ./internal/dynamic ./internal/view ./internal/server ./internal/obs ./internal/obs/trace ./internal/registry
 
 # Runs the headline benches (static decompose, engine churn through the
-# per-edge / batched / parallel paths, server mixed workload) and pipes
+# per-edge / batched / parallel paths, server mixed workload, loading and
+# setting up the Epinions stand-in) and pipes
 # the stream through cmd/benchjson, which echoes it and drops a
 # machine-readable BENCH_<stamp>.json with the host shape alongside.
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkFreezeStatic$$|BenchmarkDecomposeStatic$$|BenchmarkTriangleCountStatic$$|BenchmarkEngineChurn$$|BenchmarkServerMixedWorkload$$|BenchmarkDecomposeExternal$$' -benchmem -benchtime 3s . | $(GO) run ./cmd/benchjson
+	$(GO) test -run '^$$' -bench 'BenchmarkFreezeStatic$$|BenchmarkDecomposeStatic$$|BenchmarkTriangleCountStatic$$|BenchmarkEngineChurn$$|BenchmarkServerMixedWorkload$$|BenchmarkDecomposeExternal$$|BenchmarkLoadEdgeList$$|BenchmarkSetupEpinions$$' -benchmem -benchtime 3s . | $(GO) run ./cmd/benchjson
 
 # End-to-end load benchmark: boots `trikcore serve` with the flight
 # recorder armed, drives an open-loop Zipf mixed workload at it with
@@ -92,6 +93,13 @@ fuzzexternal:
 
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzFreezeStatic -fuzztime 30s ./internal/graph
+
+# Short differential fuzz of the edge-list parser against the
+# strings.Fields parser it replaced (CI runs this too). New-coverage
+# inputs grow to several KiB, and minimizing one at the default 60s
+# budget would take the whole run, so minimization is capped at 1s.
+fuzzparse:
+	$(GO) test -run '^$$' -fuzz FuzzReadEdgeList -fuzztime 20s -fuzzminimizetime 1s ./internal/graph
 
 # Short invariant-checked fuzz of the dynamic engine (CI runs this too).
 fuzzchurn:

@@ -17,9 +17,11 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"trikcore"
 	"trikcore/internal/bucket"
@@ -40,6 +42,7 @@ import (
 	"trikcore/internal/plot"
 	"trikcore/internal/server"
 	"trikcore/internal/template"
+	"trikcore/internal/view"
 )
 
 // benchCfg is the reduced-scale configuration the per-artifact benchmarks
@@ -518,6 +521,80 @@ func BenchmarkTriangleCountStatic(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.TriangleCount()
+	}
+}
+
+// --- Set-up of a loaded graph ----------------------------------------------
+
+// epinionsFile writes the Epinions stand-in, the graph perfbench's serve
+// and ingest workloads load, as an edge-list file under b's temporary
+// directory and returns its path.
+func epinionsFile(b *testing.B) string {
+	b.Helper()
+	d, _ := dataset.ByName("Epinions")
+	path := filepath.Join(b.TempDir(), "epinions.txt")
+	if err := graph.SaveEdgeListFile(path, d.Graph()); err != nil {
+		b.Fatal(err)
+	}
+	return path
+}
+
+// BenchmarkLoadEdgeList parses and bulk-builds the Epinions stand-in's
+// edge-list file (405k edges).
+func BenchmarkLoadEdgeList(b *testing.B) {
+	path := epinionsFile(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := graph.LoadEdgeListFile(path); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSetupEpinions times what perfbench's serve and ingest set-up
+// does: LoadEdgeListFile on the Epinions stand-in's file, then
+// server.NewWith with a metrics registry. Its ns/op is that set-up. Each
+// iteration then runs, untimed, the stages NewWith runs one at a time
+// (the same calls DecomposeWith, NewEngineFromDecomposition and
+// view.NewPublisher make) and reports their mean times: load, freeze,
+// support, peel, engine, and publish (the first snapshot).
+func BenchmarkSetupEpinions(b *testing.B) {
+	path := epinionsFile(b)
+	stages := []string{"load", "freeze", "support", "peel", "engine", "publish"}
+	sum := make([]time.Duration, len(stages))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		g, err := graph.LoadEdgeListFile(path)
+		if err != nil {
+			b.Fatal(err)
+		}
+		server.NewWith(g, server.Options{Registry: obs.NewRegistry()})
+
+		b.StopTimer()
+		t := time.Now()
+		lap := func(k int) {
+			now := time.Now()
+			sum[k] += now.Sub(t)
+			t = now
+		}
+		g, _ = graph.LoadEdgeListFile(path)
+		lap(0)
+		s := graph.FreezeStatic(g)
+		lap(1)
+		support := core.ComputeSupport(s, 0)
+		lap(2)
+		d := core.DecomposeWithSupport(s, support)
+		lap(3)
+		en := dynamic.NewEngineFromDecomposition(d)
+		lap(4)
+		view.NewPublisher(en)
+		lap(5)
+		b.StartTimer()
+	}
+	for k, name := range stages {
+		b.ReportMetric(float64(sum[k].Nanoseconds())/1e6/float64(b.N), name+"-ms")
 	}
 }
 

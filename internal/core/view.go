@@ -6,14 +6,13 @@ import (
 	"sync/atomic"
 
 	"trikcore/internal/bucket"
+	"trikcore/internal/graph"
 )
 
-// EdgeView is the read-only graph surface the decomposition kernels
-// consume: dense edge ids 0..NumEdges-1 with dense endpoint positions
-// and a once-per-triangle oriented listing. *graph.Static satisfies it
-// directly; the out-of-core decomposition drives the same kernels with
-// partition-restricted views, which is why the kernels take the
-// interface rather than the concrete view.
+// EdgeView is the read-only graph surface the support kernel
+// (ComputeSupportView) consumes: dense edge ids 0..NumEdges-1 with dense
+// endpoint positions and a once-per-triangle oriented listing.
+// *graph.Static satisfies it directly.
 type EdgeView interface {
 	// NumEdges returns the number of dense edge ids.
 	NumEdges() int
@@ -24,18 +23,6 @@ type EdgeView interface {
 	// dense ids of the triangle's other two edges. Across all edges the
 	// listing covers every triangle exactly once.
 	ForEachOrientedTriangle(i int32, fn func(e1, e2 int32) bool)
-}
-
-// LiveView is the shrinking adjacency structure the peel phase consumes:
-// triangles over only still-live edges, with removal as edges peel.
-// *graph.LiveAdj satisfies it.
-type LiveView interface {
-	// RemoveEdge removes edge i from the live structure.
-	RemoveEdge(i int32)
-	// ForEachTriangleEdge calls fn for each triangle {u, v, w} whose
-	// edges are all live, passing the third vertex and the dense ids of
-	// edges {u, w} and {v, w}.
-	ForEachTriangleEdge(u, v int32, fn func(w, e1, e2 int32) bool)
 }
 
 // PeelResult is the raw output of the peel kernel, indexed by dense
@@ -49,13 +36,16 @@ type PeelResult struct {
 	MaxKappa int32
 }
 
-// Peel runs steps 7–18 of Algorithm 1 against the views: bucket edges
-// by the κ̃ upper bound in support, repeatedly freeze the minimum
-// (its bound is exact, Claim 2) and decrement the bounds of the other
-// two edges of each still-live triangle through it, guarded by the
-// Theorem 1 comparison. The support slice is not mutated.
-func Peel(ev EdgeView, la LiveView, support []int32) PeelResult {
-	m := ev.NumEdges()
+// Peel runs steps 7–18 of Algorithm 1 on s: bucket edges by the κ̃
+// upper bound in support, repeatedly freeze the minimum (its bound is
+// exact, Claim 2) and decrement the bounds of the other two edges of each
+// triangle through it whose edges are still live in la, guarded by the
+// Theorem 1 comparison. la must be a fresh live adjacency over s; Peel
+// removes each edge from it as the edge is frozen. Both parameters are
+// the concrete types, so the per-edge triangle callback is a direct call
+// that does not escape to the heap. The support slice is not mutated.
+func Peel(s *graph.Static, la *graph.LiveAdj, support []int32) PeelResult {
+	m := s.NumEdges()
 	r := PeelResult{
 		Kappa:   make([]int32, m),
 		Order:   make([]int32, 0, m),
@@ -73,7 +63,7 @@ func Peel(ev EdgeView, la LiveView, support []int32) PeelResult {
 		if kt > r.MaxKappa {
 			r.MaxKappa = kt
 		}
-		u, v := ev.Endpoints(et)
+		u, v := s.Endpoints(et)
 		la.RemoveEdge(et)
 		la.ForEachTriangleEdge(u, v, func(w, e1, e2 int32) bool {
 			// Step 13: only bounds strictly above κ(e_t) shrink; smaller

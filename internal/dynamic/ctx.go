@@ -64,30 +64,30 @@ func (c *applyCtx) init(en *Engine) {
 // arrays grow only on staged contexts; generation stamps make zero the
 // safe initial value everywhere.
 func (c *applyCtx) growEdges(n int) {
-	for len(c.sc.st) < n {
-		c.sc.st = append(c.sc.st, 0)
-		c.sc.es = append(c.sc.es, 0)
-		c.sc.evictedAt = append(c.sc.evictedAt, 0)
-		c.sc.inQueue = append(c.sc.inQueue, false)
-	}
+	c.sc.st = grow(c.sc.st, n)
+	c.sc.es = grow(c.sc.es, n)
+	c.sc.evictedAt = grow(c.sc.evictedAt, n)
+	c.sc.inQueue = grow(c.sc.inQueue, n)
 	if c.staged {
-		for len(c.sKappa) < n {
-			c.sKappa = append(c.sKappa, 0)
-		}
-		for len(c.sMark) < n {
-			c.sMark = append(c.sMark, 0)
-		}
-		for len(c.rMark) < n {
-			c.rMark = append(c.rMark, 0)
-		}
+		c.sKappa = grow(c.sKappa, n)
+		c.sMark = grow(c.sMark, n)
+		c.rMark = grow(c.rMark, n)
 	}
 }
 
 // growVertices sizes the vertex-indexed off stamps to n slots.
 func (c *applyCtx) growVertices(n int) {
-	for len(c.offStamp) < n {
-		c.offStamp = append(c.offStamp, 0)
+	c.offStamp = grow(c.offStamp, n)
+}
+
+// grow returns s extended to length n with zeros, in one append (the
+// compiler clears the new tail in place, allocating no temporary); s is
+// returned as is when it is already that long.
+func grow[T any](s []T, n int) []T {
+	if len(s) >= n {
+		return s
 	}
+	return append(s, make([]T, n-len(s))...)
 }
 
 // kappaOf reads the effective κ of edge e: the staging overlay when this

@@ -159,12 +159,8 @@ func NewEngine(g *graph.Graph) *Engine {
 // ensureEdgeCap grows all edge-indexed state to the dense edge capacity.
 func (en *Engine) ensureEdgeCap() {
 	c := en.d.EdgeCap()
-	for len(en.kappa) < c {
-		en.kappa = append(en.kappa, 0)
-	}
-	for len(en.pendMark) < c {
-		en.pendMark = append(en.pendMark, 0)
-	}
+	en.kappa = grow(en.kappa, c)
+	en.pendMark = grow(en.pendMark, c)
 	en.ser.growEdges(c)
 }
 

@@ -2,6 +2,7 @@ package dynamic
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -362,5 +363,67 @@ func TestMaxKappaTracksClique(t *testing.T) {
 	}
 	if en.MaxKappa() != 4 {
 		t.Fatalf("MaxKappa = %d, want 4 for K6", en.MaxKappa())
+	}
+}
+
+// TestEngineAdoptsDecompositionView checks that the engine's first
+// FreezeView is the decomposition's own view and κ, and that one batch
+// adding vertices whose ids fall below, between and above the base ids
+// (whose flat-built view has an ascending OrigID and no id index) and
+// deleting edges then freezes to what a from-scratch freeze builds,
+// finds every vertex by PosOf, carries a fresh engine's κ, and leaves
+// the adopted view as it was.
+func TestEngineAdoptsDecompositionView(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	g := graph.New()
+	for u := graph.Vertex(10); u <= 100; u += 10 {
+		for v := u + 10; v <= 100; v += 10 {
+			if rng.Intn(3) > 0 {
+				g.AddEdge(u, v)
+			}
+		}
+	}
+	d := core.Decompose(g)
+	before := imageOf(d.S, d.Kappa)
+	en := NewEngineFromDecomposition(d)
+	s0, k0 := en.FreezeView()
+	if s0 != d.S || len(k0) == 0 || &k0[0] != &d.Kappa[0] {
+		t.Fatal("the first FreezeView is not the decomposition's view and κ")
+	}
+
+	ops := []EdgeOp{
+		{U: 5, V: 10}, {U: 5, V: 20}, {U: 1, V: 5}, // below the base ids
+		{U: 15, V: 10}, {U: 15, V: 20}, {U: 55, V: 50}, {U: 55, V: 60}, // between them
+		{U: 200, V: 100}, {U: 200, V: 90}, {U: 150, V: 200}, // above them
+	}
+	for _, e := range g.Edges()[:6] {
+		ops = append(ops, EdgeOp{U: e.U, V: e.V, Del: true})
+	}
+	en.ApplyBatch(ops)
+	s1, k1 := en.FreezeView()
+	if err := graph.DiffViews(s1, en.d.FreezeFresh()); err != nil {
+		t.Fatalf("view after the batch differs from a from-scratch freeze: %v", err)
+	}
+	cur := en.Graph()
+	for _, v := range cur.Vertices() {
+		if p, ok := s1.PosOf(v); !ok || s1.OrigID[p] != v {
+			t.Fatalf("PosOf(%d) = %d, %v", v, p, ok)
+		}
+	}
+	if p, ok := s1.PosOf(7); ok {
+		t.Fatalf("PosOf(7) = %d for an absent vertex", p)
+	}
+	fresh := NewEngine(cur)
+	for i, k := range k1 {
+		e := s1.EdgeAt(int32(i))
+		if want, ok := fresh.Kappa(e); !ok || k != want {
+			t.Fatalf("κ(%v) = %d, a fresh engine has %d (present %v)", e, k, want, ok)
+		}
+	}
+	if len(k1) != fresh.NumEdges() {
+		t.Fatalf("view has %d edges, a fresh engine %d", len(k1), fresh.NumEdges())
+	}
+	if !reflect.DeepEqual(imageOf(d.S, d.Kappa), before) {
+		t.Fatal("the adopted view or its κ changed")
 	}
 }

@@ -195,13 +195,20 @@ func (mt *engineMetrics) syncGauges(en *Engine) {
 // static decomposition instead of recomputing it, so callers that want the
 // decomposition phases timed (or the Decomposition itself) can run
 // core.DecomposeWith themselves and hand over the result. The
-// decomposition's Static view is copied into a private dense substrate;
-// NewDenseFromStatic preserves its edge ids, so κ is adopted verbatim.
+// decomposition's Static view is copied into a private dense substrate
+// that keeps its edge ids, so κ is adopted verbatim, and the view itself
+// with d.Kappa is adopted as the engine's first FreezeView
+// (graph.NewDenseFrozen): the first publication costs nothing, and later
+// views share its unchanged chunks. The engine takes ownership of d: the
+// caller must not modify d.S or d.Kappa afterwards, and d.S must stay
+// valid (a mapped view open) for the engine's lifetime.
 func NewEngineFromDecomposition(d *core.Decomposition) *Engine {
 	en := &Engine{
-		d:     graph.NewDenseFromStatic(d.S),
-		kappa: append([]int32(nil), d.Kappa...),
-		maxK:  d.MaxKappa,
+		d:         graph.NewDenseFrozen(d.S),
+		kappa:     append([]int32(nil), d.Kappa...),
+		maxK:      d.MaxKappa,
+		view:      d.S,
+		viewKappa: d.Kappa,
 	}
 	en.ser.init(en)
 	en.ser.stats = &en.stats

@@ -162,9 +162,7 @@ func (en *Engine) applyParallel(tr *trace.Trace, ops []EdgeOp, workers int) (kep
 		}
 		p.wGen = 1
 	}
-	for len(p.wMark) < ecap {
-		p.wMark = append(p.wMark, 0)
-	}
+	p.wMark = grow(p.wMark, ecap)
 	sfx := p.suffix[:0]
 	conflicted := 0
 	for i := 0; i < nRegions; i++ {

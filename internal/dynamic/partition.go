@@ -62,10 +62,8 @@ func (p *parScratch) partition(en *Engine, resolved []resolvedOp) int {
 		}
 		p.ballGen = 1
 	}
-	for len(p.ballMark) < en.d.EdgeCap() {
-		p.ballMark = append(p.ballMark, 0)
-		p.ballOp = append(p.ballOp, 0)
-	}
+	p.ballMark = grow(p.ballMark, en.d.EdgeCap())
+	p.ballOp = grow(p.ballOp, en.d.EdgeCap())
 
 	for k, r := range resolved {
 		k32 := int32(k) //trikcheck:checked op index bounded by batch length

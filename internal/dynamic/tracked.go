@@ -64,10 +64,8 @@ func NewTrackedEngine(g *graph.Graph) *TrackedEngine {
 // ensureCap grows membership state to the dense edge capacity.
 func (te *TrackedEngine) ensureCap() {
 	c := te.d.EdgeCap()
-	for len(te.cores) < c {
-		te.cores = append(te.cores, nil)
-		te.dirtyMark = append(te.dirtyMark, false)
-	}
+	te.cores = grow(te.cores, c)
+	te.dirtyMark = grow(te.dirtyMark, c)
 }
 
 func (te *TrackedEngine) markDirty(eid int32) {

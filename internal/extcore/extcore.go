@@ -101,8 +101,8 @@ func Decompose(s *graph.Static, opts Options) (*Result, error) {
 }
 
 // decomposeResident is the unbounded path: the same kernels the
-// in-memory decomposition uses, driven through the core.EdgeView
-// interface so a mapped view works identically to a frozen one.
+// in-memory decomposition uses, which read a mapped view exactly as a
+// frozen one (both are a *graph.Static).
 func decomposeResident(s *graph.Static, opts Options, mets metrics) *Result {
 	start := time.Now()
 	support := core.ComputeSupportView(s, opts.Parallelism)

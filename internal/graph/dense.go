@@ -48,8 +48,10 @@ type Dense struct {
 	// rowCap is Σ cap(rows[u]), kept up to date wherever a row is
 	// allocated or grows, so SizeBytes need not walk the rows.
 	rowCap int64
-	// fz records what changed since the last Freeze; nil until the first,
-	// so a Dense that is never frozen records nothing.
+	// fz records what changed since the last Freeze. It is nil until the
+	// first Freeze, so a Dense that is never frozen records nothing;
+	// NewDenseFrozen starts it from the adopted view instead, so such a
+	// Dense records from construction on.
 	fz *freezeLog
 }
 

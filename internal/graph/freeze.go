@@ -7,8 +7,9 @@ import (
 )
 
 // freezeLog is what a Dense records between freezes once it has been
-// frozen: the last view with the id maps that tie it to the dense slots,
-// and the rows and edge slots marked since.
+// frozen or has adopted a view (NewDenseFrozen): the last view with the
+// id maps that tie it to the dense slots, and the rows and edge slots
+// marked since.
 type freezeLog struct {
 	view *Static
 	// staticOf[e] is the view's id for dense edge slot e, -1 if none;
@@ -65,8 +66,9 @@ func (fz *freezeLog) markEdge(e int32) {
 
 // MarkEdge records that per-edge state the caller projects onto frozen
 // views (κ) changed for live edge eid, so the next Freeze lists the
-// edge's view id in FreezeIDs.Changed. It records nothing before the
-// first Freeze.
+// edge's view id in FreezeIDs.Changed. It records nothing while d has
+// no freeze log: before the first Freeze of a Dense not built by
+// NewDenseFrozen.
 func (d *Dense) MarkEdge(eid int32) { d.fz.markEdge(eid) }
 
 // FreezeIDs relates a view's edge ids to the Dense it was frozen from
@@ -87,9 +89,12 @@ type FreezeIDs struct {
 
 // Freeze returns an immutable Static view of d's current graph, built
 // from the previous view and sharing every chunk of it that did not
-// change (see Static). The first Freeze, and any Freeze while a removed
-// vertex's slot is free or after a vertex was removed, builds the view
-// from scratch with the same builder and every row dirty.
+// change (see Static). A Dense built by NewDenseFrozen counts its
+// adopted view as the previous one, so its first Freeze returns that
+// view if nothing changed. The first Freeze of any other Dense, and any
+// Freeze while a removed vertex's slot is free or after a vertex was
+// removed, builds the view from scratch with the same builder and every
+// row dirty.
 //
 // Positions are dense vertex ids while no vertex slot is free, so they
 // only grow at the end; otherwise live slots are compacted in ascending
@@ -129,6 +134,43 @@ func (d *Dense) Freeze() (*Static, FreezeIDs) {
 func (d *Dense) FreezeFresh() *Static {
 	s, _ := d.freezeWith(d.newFreezeLog())
 	return s
+}
+
+// NewDenseFrozen is NewDenseFromStatic for a Dense that continues from
+// s: s is its last frozen view, as if Freeze had just built it, so the
+// first Freeze returns s itself and later ones share s's unchanged
+// chunks. NewDenseFromStatic keeps slots = positions and edge slots =
+// s's edge ids, so s is exactly the view a from-scratch Freeze would
+// build; the log's id maps start as the identity and its degrees as the
+// rows'. The Dense's views share s's storage, so s must stay valid (a
+// mapped view open) for as long as any of them is in use. s is not
+// written.
+func NewDenseFrozen(s *Static) *Dense {
+	d := NewDenseFromStatic(s)
+	n, m := len(d.orig), len(d.edgeU)
+	fz := &freezeLog{
+		view:     s,
+		staticOf: make([]int32, m),
+		edgeOf:   make([]int32, m),
+		orig:     s.OrigID[:n:n],
+		deg:      make([]int32, n),
+		rowMark:  make([]bool, n),
+		edgeMark: make([]bool, m),
+	}
+	for e := range fz.staticOf {
+		fz.staticOf[e] = int32(e) //trikcheck:checked e < m, which the view bounds to int32
+		fz.edgeOf[e] = int32(e)   //trikcheck:checked e < m, which the view bounds to int32
+	}
+	for u, row := range d.rows {
+		fz.deg[u] = int32(len(row)) //trikcheck:checked degrees ≤ 2m, which the view bounds to int32
+	}
+	d.fz = fz
+	if debugChecks {
+		if err := DiffViews(s, d.FreezeFresh()); err != nil {
+			panic("trikdebug: adopted view: " + err.Error())
+		}
+	}
+	return d
 }
 
 // newFreezeLog returns a log whose previous view is empty and in which
@@ -284,7 +326,8 @@ func (d *Dense) freezeWith(fz *freezeLog) (*Static, []int32) {
 
 	// Vertices: positions past nPrev are new. OrigID grows in place at
 	// the end of its backing array, which no earlier view can see past
-	// its own length; the id index is re-merged.
+	// its own length; the id index is re-merged. A view without an index
+	// (a flat-built one) has an ascending OrigID, which is its own index.
 	byID, byIDPos := prev.byID, prev.byIDPos
 	if n > nPrev {
 		if cap(fz.orig) < n {
@@ -299,6 +342,9 @@ func (d *Dense) freezeWith(fz *freezeLog) (*Static, []int32) {
 			}
 			fz.orig[p] = d.orig[u]
 			added = append(added, int32(p)) //trikcheck:checked p < n, bounded to int32 by Intern
+		}
+		if byID == nil {
+			byID = prev.OrigID
 		}
 		byID, byIDPos = mergeIDIndex(byID, byIDPos, fz.orig, added)
 		fz.verts = added[:0]
@@ -435,20 +481,30 @@ func (d *Dense) buildBlock(b, n int, deg, staticOf, posOf, denseAt, scratch []in
 
 // mergeIDIndex returns the id index (ids ascending, with positions) of
 // a view whose OrigID is orig: the previous index ids/idPos merged with
-// the positions in added, which it sorts by id.
+// the positions in added, which it sorts by id. A nil idPos places
+// ids[i] at position i: the index of an ascending OrigID.
 func mergeIDIndex(ids []Vertex, idPos []int32, orig []Vertex, added []int32) ([]Vertex, []int32) {
 	slices.SortFunc(added, func(a, b int32) int { return int(orig[a]) - int(orig[b]) })
 	n := len(ids) + len(added)
 	outIDs, outPos := make([]Vertex, 0, n), make([]int32, 0, n)
+	keep := func(i int) {
+		p := int32(i) //trikcheck:checked i < len(ids), a view's vertex count
+		if idPos != nil {
+			p = idPos[i]
+		}
+		outIDs, outPos = append(outIDs, ids[i]), append(outPos, p)
+	}
 	i := 0
 	for _, p := range added {
-		for i < len(ids) && ids[i] < orig[p] {
-			outIDs, outPos = append(outIDs, ids[i]), append(outPos, idPos[i])
-			i++
+		for ; i < len(ids) && ids[i] < orig[p]; i++ {
+			keep(i)
 		}
 		outIDs, outPos = append(outIDs, orig[p]), append(outPos, p)
 	}
-	return append(outIDs, ids[i:]...), append(outPos, idPos[i:]...)
+	for ; i < len(ids); i++ {
+		keep(i)
+	}
+	return outIDs, outPos
 }
 
 // DiffViews reports the first difference between two views of the same

@@ -1,21 +1,62 @@
 package graph
 
 import (
+	"bufio"
 	"bytes"
+	"fmt"
+	"io"
 	"reflect"
+	"slices"
+	"strconv"
+	"strings"
 	"testing"
 )
 
-// FuzzReadEdgeList checks the text parser never panics and that every
-// accepted graph round-trips through the writer.
+// FuzzReadEdgeList checks the text parser against referenceEdgeList,
+// the strings.Fields parser it replaced: the same edges in the same
+// order, and the same error text for every rejected input. It also
+// checks that every accepted graph round-trips through the writer.
 func FuzzReadEdgeList(f *testing.F) {
 	f.Add("1 2\n2 3\n")
 	f.Add("# comment\n5 6 extra\n")
 	f.Add("")
 	f.Add("-1 -2\n")
 	f.Add("99999999999999999 1\n")
+	f.Add("1\u00852\n3\u00a04\n\u00855 6\u0085\n")
+	f.Add("1 2\r\n2 3\r\n\r\n")
+	f.Add("\t1\t2\t\n\v3\f4\n")
+	f.Add("+7 007\n")
+	f.Add("2147483647 1000000000\n")
+	f.Add("2147483648 1\n1 -2147483649\n")
+	f.Add("00000000000000000007 1\n")
+	f.Add("-0 1\n")
+	f.Add("  # comment\n\t% comment\n1 2 # trailing\n")
+	f.Add("1\n")
+	f.Add("+ 1\n1 2x\n")
+	f.Add("99999999999x 1\n")
+	f.Add("\xc2 1 2\n1\xa0 2\n")
+	f.Add("1\u30002\n")
 	f.Fuzz(func(t *testing.T, input string) {
+		var got, want []Edge
+		collect := func(out *[]Edge) func(u, v Vertex) error {
+			return func(u, v Vertex) error {
+				*out = append(*out, Edge{U: u, V: v})
+				return nil
+			}
+		}
+		gotErr := ReadEdgeListFunc(strings.NewReader(input), collect(&got))
+		wantErr := referenceEdgeList(strings.NewReader(input), collect(&want))
+		if (gotErr == nil) != (wantErr == nil) || gotErr != nil && gotErr.Error() != wantErr.Error() {
+			t.Fatalf("error %v, reference parser says %v", gotErr, wantErr)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("edges %v, reference parser gives %v", got, want)
+		}
+
 		g, err := ReadEdgeList(bytes.NewReader([]byte(input)))
+		if (err == nil) != (wantErr == nil) {
+			t.Fatalf("ReadEdgeList error %v, ReadEdgeListFunc error %v", err, wantErr)
+		}
 		if err != nil {
 			return
 		}
@@ -31,6 +72,47 @@ func FuzzReadEdgeList(f *testing.F) {
 			t.Fatal("text round trip changed the edge set")
 		}
 	})
+}
+
+// referenceEdgeList is the edge-list parser ReadEdgeListFunc replaced,
+// which split each line with strings.Fields and parsed ids with
+// strconv.ParseInt: the oracle of FuzzReadEdgeList.
+func referenceEdgeList(r io.Reader, fn func(u, v Vertex) error) error {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
+	lineNo := 0
+	for sc.Scan() {
+		lineNo++
+		line := strings.TrimSpace(sc.Text())
+		if line == "" || strings.HasPrefix(line, "#") || strings.HasPrefix(line, "%") {
+			continue
+		}
+		fields := strings.Fields(line)
+		if len(fields) < 2 {
+			return fmt.Errorf("graph: line %d: want at least 2 fields, got %d", lineNo, len(fields))
+		}
+		u, err := strconv.ParseInt(fields[0], 10, 32)
+		if err != nil {
+			return fmt.Errorf("graph: line %d: bad vertex %q: %w", lineNo, fields[0], err)
+		}
+		v, err := strconv.ParseInt(fields[1], 10, 32)
+		if err != nil {
+			return fmt.Errorf("graph: line %d: bad vertex %q: %w", lineNo, fields[1], err)
+		}
+		if u < 0 || v < 0 {
+			return fmt.Errorf("graph: line %d: negative vertex id in %q", lineNo, line)
+		}
+		if u == v {
+			return fmt.Errorf("graph: line %d: self-loop on vertex %d", lineNo, u)
+		}
+		if err := fn(Vertex(u), Vertex(v)); err != nil { //trikcheck:checked ParseInt bitSize 32 bounds both
+			return err
+		}
+	}
+	if err := sc.Err(); err != nil {
+		return fmt.Errorf("graph: reading edge list: %w", err)
+	}
+	return nil
 }
 
 // FuzzFreezeStatic feeds parsed edge lists through the parallel CSR build

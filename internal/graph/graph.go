@@ -18,6 +18,7 @@ package graph
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 )
 
@@ -398,10 +399,9 @@ func appendPair(keys []int64, u, v Vertex) []int64 {
 // duplicates allowed: the sorted, deduplicated keys are the rows of a flat
 // CSR over the ascending ids, numbered by the flat builders' edge-id pass.
 // So slots follow id order and edge ids lexicographic order, the layout
-// FreezeStatic produces. It sorts keys in place.
+// FreezeStatic produces. It reorders keys.
 func fromPairKeys(keys []int64) *Graph {
-	slices.Sort(keys)
-	keys = slices.Compact(keys)
+	keys = slices.Compact(sortKeys(keys))
 	if len(keys) >= math.MaxInt32 {
 		panic("graph: edge count exceeds int32 capacity")
 	}
@@ -429,3 +429,53 @@ func fromPairKeys(keys []int64) *Graph {
 	f.fillEdgeIDs()
 	return &Graph{d: *newDenseRows(orig, pos, f.edgeU, f.edgeV, f.row)}
 }
+
+// sortKeys sorts keys ascending with an LSD radix sort in unsigned
+// order with the sign bit flipped, so negative keys (negative high ids,
+// which FromEdges accepts) sort first. Its digits are keyBits-bit
+// windows over the bits that vary among the keys only: each starts at
+// the lowest varying bit the previous ones left, so keys over ids below
+// 2^22 take four scatter passes. One counting pass histograms every
+// digit. It returns the sorted keys, in keys' array or in one scratch
+// array of its length.
+func sortKeys(keys []int64) []int64 {
+	if len(keys) < 2 {
+		return keys
+	}
+	const flip, mask = 1 << 63, 1<<keyBits - 1
+	var varying uint64
+	for _, k := range keys {
+		varying |= uint64(k) ^ uint64(keys[0])
+	}
+	var shifts []uint
+	for b := uint(0); b < 64 && varying>>b != 0; b += keyBits {
+		b += uint(bits.TrailingZeros64(varying >> b))
+		shifts = append(shifts, b)
+	}
+	counts := make([][1 << keyBits]int, len(shifts))
+	for _, k := range keys {
+		x := uint64(k) ^ flip
+		for d, sh := range shifts {
+			counts[d][x>>sh&mask]++
+		}
+	}
+	src, dst := keys, make([]int64, len(keys))
+	for d, sh := range shifts {
+		c := &counts[d]
+		sum := 0
+		for b, n := range c {
+			c[b], sum = sum, sum+n
+		}
+		for _, k := range src {
+			b := (uint64(k) ^ flip) >> sh & mask
+			dst[c[b]] = k
+			c[b]++
+		}
+		src, dst = dst, src
+	}
+	return src
+}
+
+// keyBits is sortKeys' digit width: 2^11 counters fit in cache while
+// four digits cover the two varying halves of keys over ids below 2^22.
+const keyBits = 11

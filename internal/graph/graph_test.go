@@ -1,8 +1,10 @@
 package graph
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -320,5 +322,41 @@ func TestFromEdges(t *testing.T) {
 	g := FromEdges([]Edge{NewEdge(2, 1), NewEdge(1, 2), NewEdge(3, 4)})
 	if g.NumEdges() != 2 || !g.HasEdge(1, 2) || !g.HasEdge(3, 4) {
 		t.Fatalf("FromEdges built %d edges", g.NumEdges())
+	}
+}
+
+// TestSortKeysMatchesSlicesSort checks the radix key sort against
+// slices.Sort on random edge keys with duplicates, negative ids and ids
+// at the int32 extremes, at sizes from 0 to 10^5, and on keys whose ids
+// share every bit but one.
+func TestSortKeysMatchesSlicesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	ids := []func() Vertex{
+		func() Vertex { return Vertex(rng.Intn(50)) },
+		func() Vertex { return Vertex(rng.Intn(1 << 20)) },
+		func() Vertex { return Vertex(rng.Int31n(math.MaxInt32)) - math.MaxInt32/2 },
+		func() Vertex { return []Vertex{math.MaxInt32, math.MinInt32, -1, 0, 1, math.MaxInt32 - 1}[rng.Intn(6)] },
+		func() Vertex { return Vertex(rng.Intn(2)) << 30 },
+	}
+	for _, n := range []int{0, 1, 2, 3, 10, 1000, 100_000} {
+		for c, id := range ids {
+			var keys []int64
+			for len(keys) < n {
+				u, v := id(), id()
+				if u == v {
+					continue
+				}
+				keys = appendPair(keys, u, v)
+				if rng.Intn(4) == 0 {
+					keys = appendPair(keys, v, u) // a duplicate edge
+				}
+			}
+			keys = keys[:n]
+			want := slices.Clone(keys)
+			slices.Sort(want)
+			if got := sortKeys(keys); !slices.Equal(got, want) {
+				t.Fatalf("n=%d ids#%d: radix order differs from slices.Sort", n, c)
+			}
+		}
 	}
 }

@@ -194,25 +194,28 @@ func (f flatCSR) row(u int32) (nbr, eid []int32) {
 }
 
 // fillEdgeIDs assigns f's edge ids from its symmetric rows, in
-// lexicographic (u, v) order of positions: entries w > u in row u get
-// consecutive ids from edgeStart[u] (and define edgeU/edgeV); entries
-// w < u mirror the id assigned in row w, recovered by ranking u within
-// that row. Each worker writes only its own rows' adjEID entries and the
-// endpoint slots its rows own, so the passes are data-race free.
-// FreezeStatic, the bulk Graph builder and the mapped-file builder all
-// assign ids through it; callers bound the vertex and edge counts to
-// int32 range first.
+// lexicographic (u, v) order of positions. Entries w > u in row u get
+// consecutive ids from edgeStart[u] (and define edgeU/edgeV), in parallel
+// over vertex blocks: each worker writes only its own rows' entries and
+// the endpoint slots its rows own. The entries w < u then mirror those
+// ids in one sequential walk: for w ascending, each upper entry u of row
+// w fills row u's next lower slot, and row u's lower entries are exactly
+// its neighbors below u in ascending order. FreezeStatic, the bulk Graph
+// builder and the mapped-file builder all assign ids through it; callers
+// bound the vertex and edge counts to int32 range first.
 func (f flatCSR) fillEdgeIDs() {
 	rowPtr, adjNbr := f.rowPtr, f.adjNbr
 	n := len(rowPtr) - 1
-	// edgeStart[u] is the id of the first edge whose lower endpoint is u:
-	// count each row's upper neighbors in parallel, then prefix-sum.
-	edgeStart := make([]int32, n+1)
+	// split[u] is the offset of row u's first upper entry; edgeStart[u]
+	// is the id of the first edge whose lower endpoint is u: count each
+	// row's upper neighbors in parallel, then prefix-sum.
+	split, edgeStart := make([]int32, n), make([]int32, n+1)
 	parallelBlocks(n, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			row := adjNbr[rowPtr[i]:rowPtr[i+1]]
-			split, _ := slices.BinarySearch(row, int32(i)) //trikcheck:checked i < n, guarded by the caller
-			edgeStart[i+1] = int32(len(row) - split)       //trikcheck:checked row lengths sum to 2m, guarded by the caller
+			k, _ := slices.BinarySearch(row, int32(i)) //trikcheck:checked i < n, guarded by the caller
+			split[i] = rowPtr[i] + int32(k)            //trikcheck:checked k ≤ len(row) ≤ 2m, guarded by the caller
+			edgeStart[i+1] = rowPtr[i+1] - split[i]
 		}
 	})
 	for i := 0; i < n; i++ {
@@ -220,25 +223,22 @@ func (f flatCSR) fillEdgeIDs() {
 	}
 	parallelBlocks(n, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			u := int32(i) //trikcheck:checked i < n, guarded by the caller
-			base := rowPtr[i]
-			row := adjNbr[base:rowPtr[i+1]]
-			split, _ := slices.BinarySearch(row, u)
-			for k, w := range row {
-				if w > u {
-					id := edgeStart[i] + int32(k-split) //trikcheck:checked k < len(row) ≤ 2m, guarded by the caller
-					f.adjEID[base+int32(k)] = id        //trikcheck:checked k < len(row) ≤ 2m, guarded by the caller
-					f.edgeU[id] = u
-					f.edgeV[id] = w
-				} else {
-					wrow := adjNbr[rowPtr[w]:rowPtr[w+1]]
-					wsplit, _ := slices.BinarySearch(wrow, w)
-					pos, _ := slices.BinarySearch(wrow, u)
-					f.adjEID[base+int32(k)] = edgeStart[w] + int32(pos-wsplit) //trikcheck:checked indices bounded by 2m, guarded by the caller
-				}
+			u, id := int32(i), edgeStart[i] //trikcheck:checked i < n, guarded by the caller
+			for k := split[i]; k < rowPtr[i+1]; k++ {
+				f.adjEID[k] = id
+				f.edgeU[id], f.edgeV[id] = u, adjNbr[k]
+				id++
 			}
 		}
 	})
+	next := slices.Clone(rowPtr[:n]) // row u's next lower slot
+	for w := 0; w < n; w++ {
+		for k := split[w]; k < rowPtr[w+1]; k++ {
+			u := adjNbr[k]
+			f.adjEID[next[u]] = f.adjEID[k]
+			next[u]++
+		}
+	}
 }
 
 // fillOriented computes f's degree-oriented half from its symmetric rows:

@@ -69,10 +69,11 @@ func (s *Server) handleCreateGraph(w http.ResponseWriter, r *http.Request) {
 			httpError(w, http.StatusBadRequest, "seed body must not contain removals")
 			return
 		}
-		g = graph.New()
-		for _, p := range req.Add {
-			g.AddEdge(p[0], p[1])
+		edges := make([]graph.Edge, len(req.Add))
+		for i, p := range req.Add {
+			edges[i] = graph.NewEdge(p[0], p[1])
 		}
+		g = graph.FromEdges(edges)
 	}
 	sp, err := s.reg.Create(name, g)
 	if err != nil {
