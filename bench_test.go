@@ -602,8 +602,9 @@ func BenchmarkSetupEpinions(b *testing.B) {
 
 // BenchmarkDecomposeExternal peels the Astro fixture through the
 // partitioned out-of-core path at the CI budget (256 KiB, which planned
-// 4 partitions at authoring time) and unbounded (the resident arm,
-// bounding the EdgeView indirection against BenchmarkDecompose_Astro20pct).
+// 4 partitions at authoring time) and unbounded (the resident arm, which
+// runs core.DecomposeStatic's kernels and should track
+// BenchmarkDecompose_Astro20pct).
 func BenchmarkDecomposeExternal(b *testing.B) {
 	_, astro := fixtures()
 	s := graph.FreezeStatic(astro)

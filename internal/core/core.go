@@ -89,16 +89,11 @@ func DecomposeStatic(s *graph.Static, opts Options) *Decomposition {
 }
 
 // DecomposeWithSupport runs only the peeling phase of Algorithm 1
-// (steps 7–18) given precomputed edge supports. Table III's "Re-compute"
-// column times exactly this phase, matching the paper's accounting.
-// The support slice is not mutated.
-//
-// Peeled edges are removed from the live adjacency, so the merge in
-// each step scans only unprocessed edges — triangles through an
-// already-processed edge (step 17) never surface, and rows shrink as
-// the peel progresses.
+// (steps 7–18, see Peel) given precomputed edge supports. Table III's
+// "Re-compute" column times exactly this phase, matching the paper's
+// accounting. The support slice is not mutated.
 func DecomposeWithSupport(s *graph.Static, support []int32) *Decomposition {
-	r := Peel(s, graph.NewLiveAdj(s), support)
+	r := Peel(s, support)
 	return &Decomposition{
 		S:        s,
 		Kappa:    r.Kappa,
@@ -107,13 +102,6 @@ func DecomposeWithSupport(s *graph.Static, support []int32) *Decomposition {
 		Support:  append([]int32(nil), support...),
 		MaxKappa: r.MaxKappa,
 	}
-}
-
-// ComputeSupport returns the triangle support of every edge of s. It is
-// ComputeSupportView specialized to the concrete frozen view; see that
-// function for the kernel's shape.
-func ComputeSupport(s *graph.Static, parallelism int) []int32 {
-	return ComputeSupportView(s, parallelism)
 }
 
 // KappaOf returns κ(e) for a graph edge, and false if e is not an edge of

@@ -105,8 +105,8 @@ func Decompose(s *graph.Static, opts Options) (*Result, error) {
 // frozen one (both are a *graph.Static).
 func decomposeResident(s *graph.Static, opts Options, mets metrics) *Result {
 	start := time.Now()
-	support := core.ComputeSupportView(s, opts.Parallelism)
-	r := core.Peel(s, graph.NewLiveAdj(s), support)
+	support := core.ComputeSupport(s, opts.Parallelism)
+	r := core.Peel(s, support)
 	m := s.NumEdges()
 	resident := int64(m)*8 + int64(2*m)*8 + int64(s.NumVertices())*4
 	mets.residentPeak.Set(resident)

@@ -233,7 +233,9 @@ func FuzzExternalDecompose(f *testing.F) {
 		g := randomGraph(n, float64(pct)/100, seed)
 		s := graph.FreezeStatic(g)
 		want := core.DecomposeStatic(s, core.Options{})
-		for _, budget := range []int64{64 << 10, 1 << 20, 0} {
+		// Below about 2,700 edges only the 1 KiB budget plans more than
+		// one partition; the seeds' graphs have 161–171 edges.
+		for _, budget := range []int64{1 << 10, 64 << 10, 1 << 20, 0} {
 			got, err := Decompose(s, Options{MemBudget: budget, TempDir: t.TempDir()})
 			if err != nil {
 				t.Fatalf("budget %d: %v", budget, err)

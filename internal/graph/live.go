@@ -22,13 +22,22 @@ type LiveAdj struct {
 
 func packLive(w, eid int32) int64 { return int64(w)<<32 | int64(uint32(eid)) }
 
-// NewLiveAdj returns a fresh live adjacency over s. The Static view is
-// not modified; each LiveAdj owns its row storage.
-func NewLiveAdj(s *Static) *LiveAdj {
+// NewLiveAdj returns a fresh live adjacency over the edges of s whose
+// support (indexed by dense edge id) is positive, sized to them exactly:
+// an edge in no triangle is never the second or third edge of one, so a
+// peel has no use for its entries. The Static view is not modified; each
+// LiveAdj owns its row storage.
+func NewLiveAdj(s *Static, support []int32) *LiveAdj {
 	n := s.NumVertices()
+	entries := 0
+	for _, x := range support {
+		if x > 0 {
+			entries += 2
+		}
+	}
 	la := &LiveAdj{
 		s:     s,
-		row:   make([]int64, 2*s.NumEdges()),
+		row:   make([]int64, entries),
 		start: make([]int32, n),
 		end:   make([]int32, n),
 	}
@@ -37,8 +46,10 @@ func NewLiveAdj(s *Static) *LiveAdj {
 		nbr, eid := s.Row(int32(u)) //trikcheck:checked u < n, which the view bounds to int32
 		la.start[u] = at
 		for k, w := range nbr {
-			la.row[at] = packLive(w, eid[k])
-			at++
+			if support[eid[k]] > 0 {
+				la.row[at] = packLive(w, eid[k])
+				at++
+			}
 		}
 		la.end[u] = at
 	}
@@ -66,9 +77,6 @@ func (la *LiveAdj) removeFromRow(u, w int32) {
 	copy(la.row[k:hi-1], la.row[k+1:hi])
 	la.end[u] = hi - 1
 }
-
-// Degree returns the number of live edges on dense vertex u.
-func (la *LiveAdj) Degree(u int32) int { return int(la.end[u] - la.start[u]) }
 
 // ForEachTriangleEdge calls fn for each triangle {u, v, w} whose edges
 // {u, w} and {v, w} are both live, passing w (ascending) and the two
