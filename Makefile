@@ -56,11 +56,11 @@ debugrace:
 
 # Runs the headline benches (static decompose, engine churn through the
 # per-edge / batched / parallel paths, server mixed workload, loading and
-# setting up the Epinions stand-in) and pipes
+# setting up the Epinions stand-in, a fresh dual view on it) and pipes
 # the stream through cmd/benchjson, which echoes it and drops a
 # machine-readable BENCH_<stamp>.json with the host shape alongside.
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkFreezeStatic$$|BenchmarkDecomposeStatic$$|BenchmarkTriangleCountStatic$$|BenchmarkEngineChurn$$|BenchmarkServerMixedWorkload$$|BenchmarkDecomposeExternal$$|BenchmarkLoadEdgeList$$|BenchmarkSetupEpinions$$' -benchmem -benchtime 3s . | $(GO) run ./cmd/benchjson
+	$(GO) test -run '^$$' -bench 'BenchmarkFreezeStatic$$|BenchmarkDecomposeStatic$$|BenchmarkTriangleCountStatic$$|BenchmarkEngineChurn$$|BenchmarkServerMixedWorkload$$|BenchmarkDecomposeExternal$$|BenchmarkLoadEdgeList$$|BenchmarkSetupEpinions$$|BenchmarkDualViewAgainstEpinions$$' -benchmem -benchtime 3s . | $(GO) run ./cmd/benchjson
 
 # End-to-end load benchmark: boots `trikcore serve` with the flight
 # recorder armed, drives an open-loop Zipf mixed workload at it with

@@ -598,6 +598,42 @@ func BenchmarkSetupEpinions(b *testing.B) {
 	}
 }
 
+// BenchmarkDualViewAgainstEpinions times the first /dualview read of a
+// new version on the Epinions stand-in. Each iteration publishes, with
+// the timer stopped, one 8+8 batch (8 new edges between random vertices;
+// the previous batch's 8 removed), then times the new snapshot's
+// DualViewAgainst the snapshot before it, so the dual view itself is
+// never memoized. The older snapshot keeps what the previous iteration
+// computed on it as the new side.
+func BenchmarkDualViewAgainstEpinions(b *testing.B) {
+	d, _ := dataset.ByName("Epinions")
+	p := view.NewPublisherFromGraph(d.Graph())
+	n := d.Graph().NumVertices()
+	rng := rand.New(rand.NewSource(5))
+	var prev []dynamic.EdgeOp
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		old := p.Acquire()
+		ops := prev
+		prev = nil
+		for len(prev) < 8 {
+			u, v := graph.Vertex(rng.Intn(n)), graph.Vertex(rng.Intn(n))
+			if u != v && old.S.EdgeOf(graph.NewEdge(u, v)) < 0 {
+				prev = append(prev, dynamic.EdgeOp{U: u, V: v})
+			}
+		}
+		for k := range ops {
+			ops[k].Del = true
+		}
+		p.Apply(append(ops, prev...))
+		cur := p.Acquire()
+		b.StartTimer()
+		cur.DualViewAgainst(old)
+	}
+}
+
 // --- Out-of-core decomposition (ISSUE 9) ----------------------------------
 
 // BenchmarkDecomposeExternal peels the Astro fixture through the

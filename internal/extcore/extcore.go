@@ -107,8 +107,16 @@ func decomposeResident(s *graph.Static, opts Options, mets metrics) *Result {
 	start := time.Now()
 	support := core.ComputeSupport(s, opts.Parallelism)
 	r := core.Peel(s, support)
-	m := s.NumEdges()
-	resident := int64(m)*8 + int64(2*m)*8 + int64(s.NumVertices())*4
+	// Support and queue take 8 B per edge. The peel's live rows hold two
+	// packed 8-byte entries per edge in a triangle (graph.NewLiveAdj
+	// skips support-0 edges) and two int32 row bounds per vertex.
+	var rows int64
+	for _, x := range support {
+		if x > 0 {
+			rows += 2
+		}
+	}
+	resident := int64(s.NumEdges())*8 + rows*8 + int64(s.NumVertices())*8
 	mets.residentPeak.Set(resident)
 	mets.activations.Inc()
 	mets.levelSeconds.Observe(time.Since(start).Seconds())

@@ -247,3 +247,48 @@ func FuzzExternalDecompose(f *testing.F) {
 		}
 	})
 }
+
+// TestResidentChargesOnlyPackedRows checks the in-memory arm's resident
+// charge: the peel packs live rows only for edges in a triangle, so an
+// edge in no triangle — a bridge between two K4s, or pendant edges to new
+// leaves — adds its 8 B of support and queue and the new vertices' 8 B of
+// row bounds, but no row bytes, to PeakResidentBytes and to the gauge.
+func TestResidentChargesOnlyPackedRows(t *testing.T) {
+	twoK4 := func() *graph.Graph {
+		return graph.FromPairs(1, 2, 1, 3, 1, 4, 2, 3, 2, 4, 3, 4,
+			5, 6, 5, 7, 5, 8, 6, 7, 6, 8, 7, 8)
+	}
+	resident := func(g *graph.Graph) int64 {
+		t.Helper()
+		reg := obs.NewRegistry()
+		got, err := Decompose(graph.FreezeStatic(g), Options{Metrics: reg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Stats.External {
+			t.Fatal("unbounded budget ran the partitioned path")
+		}
+		peak := reg.Gauge("trikcore_extcore_resident_peak_bytes", "Largest resident peel state of any single partition activation.", nil)
+		if peak.Value() != got.Stats.PeakResidentBytes {
+			t.Fatalf("gauge reports %d, stats report %d", peak.Value(), got.Stats.PeakResidentBytes)
+		}
+		return got.Stats.PeakResidentBytes
+	}
+
+	base := resident(twoK4())
+	if want := int64(12*8 + 24*8 + 8*8); base != want {
+		t.Errorf("two K4s: resident %d B, want %d", base, want)
+	}
+	bridged := twoK4()
+	bridged.AddEdge(4, 5)
+	if got, want := resident(bridged)-base, int64(8); got != want {
+		t.Errorf("a bridge in no triangle adds %d B, want %d", got, want)
+	}
+	pendant := twoK4()
+	for leaf := graph.Vertex(10); leaf < 16; leaf++ {
+		pendant.AddEdge(1, leaf)
+	}
+	if got, want := resident(pendant)-base, int64(6*8+6*8); got != want {
+		t.Errorf("6 pendant edges add %d B, want %d", got, want)
+	}
+}

@@ -53,57 +53,54 @@ type DualViewOptions struct {
 //	7:   mark the TopK densest After peaks and locate their vertices in
 //	     Before.
 //
-// This entry point decomposes the new snapshot from scratch; when a
-// dynamic engine already tracks κ for the new snapshot (Algorithm 3 step
-// 4 as the paper states it, "execute Algorithm 2"), use
-// BuildDualViewFromValues with the engine's EdgeKappas instead — the two
+// This entry point decomposes both snapshots from scratch and plots on
+// the decompositions' own views. When the κ of a snapshot is already
+// maintained (Algorithm 3 step 4 as the paper states it, "execute
+// Algorithm 2"), call BuildDualViewStatic with it instead; the two
 // produce identical plots because the engine maintains exact κ.
 func BuildDualView(old, new *graph.Graph, opts DualViewOptions) DualView {
 	dOld := core.Decompose(old)
 	dNew := core.Decompose(new)
-	return BuildDualViewFromValues(old, new,
-		FromDecomposition(dOld), EdgeValues(dNew.CoCliqueSizes()), opts)
+	before := DensityStatic(dOld.S, CoCliqueValues(dOld.Kappa))
+	return BuildDualViewStatic(dOld.S, dNew.S, before, CoCliqueValues(dNew.Kappa), opts)
 }
 
-// BuildDualViewFromValues is BuildDualView over precomputed
-// co_clique_size assignments for the two snapshots (κ+2 per edge, however
-// obtained — static decomposition or incremental maintenance).
-func BuildDualViewFromValues(old, new *graph.Graph, oldCo, newCo EdgeValues, opts DualViewOptions) DualView {
+// BuildDualViewStatic is BuildDualView over two frozen views: before is
+// old's density series, and newCo is new's co_clique_size (κ+2, however
+// obtained) indexed by new's edge ids. An edge of new counts as added
+// when old has no edge between the same endpoints, whatever the two
+// views' vertex numbering.
+func BuildDualViewStatic(old, new *graph.Static, before Series, newCo []int32, opts DualViewOptions) DualView {
 	if opts.TopK <= 0 {
 		opts.TopK = 3
 	}
 	if opts.MinWidth <= 0 {
 		opts.MinWidth = 3
 	}
-	before := Density(old, oldCo)
-
-	added := graph.DiffGraphs(old, new).AddedEdgeSet()
-	changed := make(EdgeValues, len(added))
-	for e, cs := range newCo {
-		if added[e] {
-			changed[e] = cs
+	// Translate each of new's positions to old's once (-1 where the
+	// vertex is new); each edge then costs one row search in old.
+	oldPos := make([]int32, new.NumVertices())
+	for u, v := range new.OrigID {
+		oldPos[u], _ = old.PosOf(v)
+	}
+	changed := make([]int32, new.NumEdges())
+	for i := range changed {
+		u, v := new.Endpoints(int32(i))
+		if pu, pv := oldPos[u], oldPos[v]; pu < 0 || pv < 0 || old.EdgeIndex(pu, pv) < 0 {
+			changed[i] = newCo[i]
 		}
 	}
-	after := Density(new, changed)
+	after := DensityStatic(new, changed)
 
 	dv := DualView{Before: before, After: after}
 	for i, pk := range after.TopPeaks(opts.TopK, opts.MinWidth) {
 		mk := CorrespondenceMarker{Label: fmt.Sprintf("%d", i+1), Peak: pk}
-		inOld := make(map[graph.Vertex]bool)
+		var oldVerts []graph.Vertex
 		for _, v := range pk.Vertices {
-			if old.HasVertex(v) {
-				inOld[v] = true
+			if _, ok := old.PosOf(v); ok {
+				oldVerts = append(oldVerts, v)
 			} else {
 				mk.NewVertices = append(mk.NewVertices, v)
-			}
-		}
-		// Collect by walking the peak's vertex list, not the membership
-		// set: map iteration order would shuffle the marker positions from
-		// run to run.
-		oldVerts := make([]graph.Vertex, 0, len(inOld))
-		for _, v := range pk.Vertices {
-			if inOld[v] {
-				oldVerts = append(oldVerts, v)
 			}
 		}
 		mk.BeforePositions = before.Positions(oldVerts)

@@ -19,8 +19,35 @@ func FromDecomposition(d *core.Decomposition) EdgeValues {
 	return EdgeValues(d.CoCliqueSizes())
 }
 
+// CoCliqueValues returns co_clique_size = κ+2 (Algorithm 3 step 2) by
+// edge id, the values DensityStatic plots for a decomposition or a
+// snapshot.
+func CoCliqueValues(kappa []int32) []int32 {
+	vals := make([]int32, len(kappa))
+	for i, k := range kappa {
+		vals[i] = k + 2
+	}
+	return vals
+}
+
 // Density produces the OPTICS-style density plot of g under the given
-// edge values.
+// edge values: DensityStatic's traversal over a fresh CSR view of g, with
+// the map's values laid out by edge id (full int width, never narrowed).
+func Density(g *graph.Graph, vals EdgeValues) Series {
+	s := graph.FreezeStatic(g)
+	byID := make([]int, s.NumEdges())
+	for i := range byID {
+		byID[i] = vals[s.EdgeAt(int32(i))]
+	}
+	return density(s, byID)
+}
+
+// DensityStatic produces the OPTICS-style density plot of an immutable
+// CSR view, with per-edge values in a flat array indexed by the view's
+// dense edge ids (the layout Engine.FreezeView hands back:
+// co_clique_size = κ+2). It allocates no maps and never materializes a
+// Graph, which is what makes density plots cheap enough to memoize per
+// published snapshot.
 //
 // The traversal mirrors the enumeration CSV uses: start from the vertex
 // with the highest-valued incident edge, then repeatedly emit the
@@ -29,61 +56,84 @@ func FromDecomposition(d *core.Decomposition) EdgeValues {
 // reachability. Members of a dense structure therefore appear
 // consecutively at its co-clique size, producing the flat plateaus the
 // paper reads as potential cliques. Exhausted components are followed by
-// the best remaining seed vertex. Ties break toward the smaller vertex id,
-// making the plot deterministic.
-func Density(g *graph.Graph, vals EdgeValues) Series {
-	var s Series
-	n := g.NumVertices()
+// the best remaining seed vertex, plotted at its best incident value
+// floored at 0.
+//
+// Every tie breaks toward the smaller *external* vertex id (OrigID),
+// never the dense position. Dense positions depend on the substrate's
+// allocation history; external ids do not, so two views of the same
+// graph frozen from different histories produce identical series, which
+// is what keeps served plots byte-deterministic.
+func DensityStatic(s *graph.Static, vals []int32) Series {
+	return density(s, vals)
+}
+
+// plotValue is the type of a per-edge plotted value: int for EdgeValues,
+// int32 for the flat co-clique arrays of frozen views.
+type plotValue interface{ int | int32 }
+
+// density is the one ordering body behind Density and DensityStatic.
+func density[T plotValue](s *graph.Static, vals []T) Series {
+	var out Series
+	n := s.NumVertices()
 	if n == 0 {
-		return s
+		return out
 	}
-	bestIncident := func(v graph.Vertex) int {
-		best := 0
-		g.ForEachNeighbor(v, func(w graph.Vertex) bool {
-			if x := vals[graph.NewEdge(v, w)]; x > best {
-				best = x
+	// Best incident edge value per dense vertex, one sweep over the rows.
+	best := make([]T, n)
+	for u := range best {
+		_, eids := s.Row(int32(u))
+		for _, e := range eids {
+			if x := vals[e]; x > best[u] {
+				best[u] = x
 			}
-			return true
-		})
-		return best
+		}
 	}
 
-	// Seeds: all vertices ordered by best incident edge value descending
-	// (vertex id ascending on ties). Consumed lazily as components start.
-	seeds := g.Vertices()
-	seedVal := make(map[graph.Vertex]int, n)
-	for _, v := range seeds {
-		seedVal[v] = bestIncident(v)
+	// Seeds: every vertex ordered by best incident value descending,
+	// external id ascending on ties. Consumed lazily as components start.
+	seeds := make([]int32, n)
+	for i := range seeds {
+		seeds[i] = int32(i)
 	}
-	sortSeeds(seeds, seedVal)
+	sort.Slice(seeds, func(i, j int) bool {
+		a, b := seeds[i], seeds[j]
+		if best[a] != best[b] {
+			return best[a] > best[b]
+		}
+		return s.OrigID[a] < s.OrigID[b]
+	})
 
-	visited := make(map[graph.Vertex]bool, n)
-	reach := make(map[graph.Vertex]int, n)
-	pq := &vertexHeap{}
-	heap.Init(pq)
+	// A vertex joins the frontier on its first edge from a visited
+	// vertex, whatever that edge's value (values may be negative), and
+	// reach then holds its best value so far; queued, not a sentinel
+	// value, records membership.
+	visited := make([]bool, n)
+	queued := make([]bool, n)
+	reach := make([]T, n)
+	pq := &frontier[T]{orig: s.OrigID}
 
-	visit := func(v graph.Vertex, h int) {
-		visited[v] = true
-		s.Points = append(s.Points, Point{V: v, Height: h})
-		g.ForEachNeighbor(v, func(w graph.Vertex) bool {
+	visit := func(u int32, h T) {
+		visited[u] = true
+		out.Points = append(out.Points, Point{V: s.OrigID[u], Height: int(h)})
+		nbr, eids := s.Row(u)
+		for k, w := range nbr {
 			if visited[w] {
-				return true
+				continue
 			}
-			val := vals[graph.NewEdge(v, w)]
-			if cur, ok := reach[w]; !ok || val > cur {
-				reach[w] = val
-				heap.Push(pq, heapItem{v: w, val: val})
+			if val := vals[eids[k]]; !queued[w] || val > reach[w] {
+				queued[w], reach[w] = true, val
+				heap.Push(pq, frontierItem[T]{v: w, val: val})
 			}
-			return true
-		})
+		}
 	}
 
 	seedIdx := 0
-	for len(s.Points) < n {
+	for len(out.Points) < n {
 		// Drain the frontier of the current component.
 		progressed := false
 		for pq.Len() > 0 {
-			it := heap.Pop(pq).(heapItem)
+			it := heap.Pop(pq).(frontierItem[T])
 			if visited[it.v] || reach[it.v] != it.val {
 				continue // stale entry
 			}
@@ -98,10 +148,44 @@ func Density(g *graph.Graph, vals EdgeValues) Series {
 		for seedIdx < len(seeds) && visited[seeds[seedIdx]] {
 			seedIdx++
 		}
-		v := seeds[seedIdx]
-		visit(v, seedVal[v])
+		u := seeds[seedIdx]
+		visit(u, best[u])
 	}
-	return s
+	return out
+}
+
+// frontierItem is a frontier entry: dense vertex v reachable at value val.
+type frontierItem[T plotValue] struct {
+	v   int32
+	val T
+}
+
+// frontier is a max-heap on val; ties break on the external id of the
+// vertex, which is what keeps the enumeration independent of dense
+// vertex numbering. (v, val) pairs are unique — a vertex is re-pushed
+// only with a strictly larger value — so the order is total and the pop
+// sequence is deterministic regardless of push order.
+type frontier[T plotValue] struct {
+	items []frontierItem[T]
+	orig  []graph.Vertex
+}
+
+func (h *frontier[T]) Len() int { return len(h.items) }
+func (h *frontier[T]) Less(i, j int) bool {
+	a, b := h.items[i], h.items[j]
+	if a.val != b.val {
+		return a.val > b.val
+	}
+	return h.orig[a.v] < h.orig[b.v]
+}
+func (h *frontier[T]) Swap(i, j int) { h.items[i], h.items[j] = h.items[j], h.items[i] }
+func (h *frontier[T]) Push(x any)    { h.items = append(h.items, x.(frontierItem[T])) }
+func (h *frontier[T]) Pop() any {
+	old := h.items
+	n := len(old)
+	it := old[n-1]
+	h.items = old[:n-1]
+	return it
 }
 
 // sortSeeds orders vertices by seed value descending, id ascending.
@@ -140,30 +224,4 @@ func DensityNaive(g *graph.Graph, vals EdgeValues) Series {
 		s.Points = append(s.Points, Point{V: v, Height: best[v]})
 	}
 	return s
-}
-
-// heapItem is a frontier entry: vertex v reachable at value val. The heap
-// is a max-heap on val with vertex id as tiebreak.
-type heapItem struct {
-	v   graph.Vertex
-	val int
-}
-
-type vertexHeap []heapItem
-
-func (h vertexHeap) Len() int { return len(h) }
-func (h vertexHeap) Less(i, j int) bool {
-	if h[i].val != h[j].val {
-		return h[i].val > h[j].val
-	}
-	return h[i].v < h[j].v
-}
-func (h vertexHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *vertexHeap) Push(x any)   { *h = append(*h, x.(heapItem)) }
-func (h *vertexHeap) Pop() any {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
 }

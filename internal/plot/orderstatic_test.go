@@ -9,9 +9,9 @@ import (
 	"trikcore/internal/graph"
 )
 
-// TestDensityStaticMatchesDensity property-tests the CSR traversal
-// against the map-based one on random graphs: same points, same order,
-// same heights.
+// TestDensityStaticMatchesDensity property-tests the CSR traversal on a
+// decomposition's view against the map-based ordering: same points, same
+// order, same heights.
 func TestDensityStaticMatchesDensity(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 25; trial++ {
@@ -28,15 +28,11 @@ func TestDensityStaticMatchesDensity(t *testing.T) {
 			continue
 		}
 		d := core.Decompose(g)
-		want := Density(g, FromDecomposition(d))
+		want := densityMapRef(g, FromDecomposition(d))
 
-		vals := make([]int32, d.S.NumEdges())
-		for i := range vals {
-			vals[i] = d.Kappa[i] + 2
-		}
-		got := DensityStatic(d.S, vals)
+		got := DensityStatic(d.S, CoCliqueValues(d.Kappa))
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("trial %d: DensityStatic differs from Density\ngot  %v\nwant %v",
+			t.Fatalf("trial %d: DensityStatic differs from the map ordering\ngot  %v\nwant %v",
 				trial, got.Points, want.Points)
 		}
 	}
@@ -85,13 +81,13 @@ func TestDensityStaticIndependentOfDenseLayout(t *testing.T) {
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("series differ across dense layouts\nclean     %v\nscrambled %v", a.Points, b.Points)
 	}
-	// And both equal the Graph-based plot under the same values.
+	// And both equal the map-based ordering under the same values.
 	g := clean.Materialize()
 	m := EdgeValues{}
 	for _, e := range g.Edges() {
 		m[e] = int(f(e))
 	}
-	if want := Density(g, m); !reflect.DeepEqual(a, want) {
-		t.Fatalf("static series differs from Density\ngot  %v\nwant %v", a.Points, want.Points)
+	if want := densityMapRef(g, m); !reflect.DeepEqual(a, want) {
+		t.Fatalf("static series differs from the map ordering\ngot  %v\nwant %v", a.Points, want.Points)
 	}
 }

@@ -8,7 +8,10 @@
 // (co_clique_size = κ+2, Algorithm 3 step 2), for the exact CSV baseline
 // (Figure 6's qualitative comparison), for template-pattern subgraphs
 // (Figures 9–12) and for dual-view correspondence across dynamic
-// snapshots (Figure 8).
+// snapshots (Figure 8). One ordering body serves all of them, on a frozen
+// CSR view (graph.Static): DensityStatic and BuildDualViewStatic take a
+// view and values by edge id, and the Graph-based Density and
+// BuildDualView freeze or decompose their inputs first.
 package plot
 
 import (

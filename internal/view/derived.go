@@ -15,7 +15,6 @@ type memoKey int
 
 const (
 	keyCoClique memoKey = iota
-	keyCoCliqueMap
 	keySeries
 	keyPlotSVG
 	keyPlotASCII
@@ -39,26 +38,7 @@ const (
 // CoClique returns the flat co-clique values κ(e)+2 by dense edge id
 // (Algorithm 3 step 2). Shared; do not mutate.
 func (sn *Snapshot) CoClique() []int32 {
-	return sn.Memo(keyCoClique, func() any {
-		vals := make([]int32, len(sn.Kappa))
-		for i, k := range sn.Kappa {
-			vals[i] = k + 2
-		}
-		return vals
-	}).([]int32)
-}
-
-// CoCliqueMap returns the co-clique values keyed by external edge — the
-// form the dual-view builder consumes. Shared; do not mutate.
-func (sn *Snapshot) CoCliqueMap() plot.EdgeValues {
-	return sn.Memo(keyCoCliqueMap, func() any {
-		vals := sn.CoClique()
-		m := make(plot.EdgeValues, len(vals))
-		for i, v := range vals {
-			m[sn.S.EdgeAt(int32(i))] = int(v)
-		}
-		return m
-	}).(plot.EdgeValues)
+	return sn.Memo(keyCoClique, func() any { return plot.CoCliqueValues(sn.Kappa) }).([]int32)
 }
 
 // DensitySeries returns the snapshot's OPTICS-ordered density plot,
@@ -84,9 +64,11 @@ func (sn *Snapshot) PlotASCII() []byte {
 	}).([]byte)
 }
 
-// Graph materializes the snapshot as a standalone mutable Graph — the
-// form legacy consumers (the dual-view builder) want. Computed once per
-// version. Shared; do not mutate.
+// Graph materializes the snapshot as a standalone mutable Graph,
+// computed once per version. Nothing in the serving path calls it:
+// outside tests, cmd/perfbench's traced replay is its last caller, and
+// the perfbench item in ROADMAP.md removes that caller. Shared; do not
+// mutate.
 func (sn *Snapshot) Graph() *graph.Graph {
 	return sn.Memo(keyGraph, func() any { return sn.S.Materialize() }).(*graph.Graph)
 }
@@ -140,14 +122,13 @@ func (sn *Snapshot) CommunitiesAt(k int32) []events.Community {
 // DualViewAgainst builds the dual-view plot (Algorithm 3's dual view)
 // from the old snapshot to this one, memoized on this snapshot keyed by
 // the old version — repeated requests at an unchanged (old, new) pair do
-// no plotting work. Both sides use their maintained κ; nothing is
-// re-decomposed. Shared; do not mutate.
+// no plotting work. Before is old's memoized DensitySeries, and After
+// plots this snapshot's CSR with the co-clique values of the edges old
+// lacks; both sides use their maintained κ, and nothing is
+// re-decomposed or re-materialized. Shared; do not mutate.
 func (sn *Snapshot) DualViewAgainst(old *Snapshot) *plot.DualView {
 	return sn.Memo(dualKey(old.Version), func() any {
-		dv := plot.BuildDualViewFromValues(
-			old.Graph(), sn.Graph(),
-			old.CoCliqueMap(), sn.CoCliqueMap(),
-			plot.DualViewOptions{})
+		dv := plot.BuildDualViewStatic(old.S, sn.S, old.DensitySeries(), sn.CoClique(), plot.DualViewOptions{})
 		return &dv
 	}).(*plot.DualView)
 }

@@ -6,7 +6,6 @@ import "trikcore/internal/obs"
 // one per derived-artifact family in derived.go.
 var memoArtifacts = []string{
 	"co_clique",
-	"co_clique_map",
 	"density_series",
 	"plot_svg",
 	"plot_ascii",
@@ -91,8 +90,6 @@ func artifactOf(key any) string {
 		switch k {
 		case keyCoClique:
 			return "co_clique"
-		case keyCoCliqueMap:
-			return "co_clique_map"
 		case keySeries:
 			return "density_series"
 		case keyPlotSVG:

@@ -77,7 +77,6 @@ func TestPublisherInstrumentNop(t *testing.T) {
 func TestArtifactOfCoversAllKeys(t *testing.T) {
 	cases := map[any]string{
 		keyCoClique:     "co_clique",
-		keyCoCliqueMap:  "co_clique_map",
 		keySeries:       "density_series",
 		keyPlotSVG:      "plot_svg",
 		keyPlotASCII:    "plot_ascii",

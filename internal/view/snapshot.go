@@ -15,12 +15,14 @@
 // superseded.
 //
 // Each Snapshot additionally carries a per-version memo of derived
-// artifacts (density series, rendered SVG/ASCII plot bytes, co-clique
-// values, communities at a level, a materialized Graph) with
+// artifacts (co-clique values, the density series and its rendered
+// SVG/ASCII bytes, dual views against older snapshots, communities at a
+// level, the batch's net κ changes, a materialized Graph) with
 // singleflight-style dedup: concurrent first requests for an artifact
 // compute it once, and every later access is an atomic-load cache hit.
 // The memo dies with the snapshot, so cache invalidation is just
-// publication.
+// publication. Every plot, the dual view's included, runs on the frozen
+// CSR; a dual view reuses the older snapshot's memoized density series.
 package view
 
 import (
