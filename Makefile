@@ -55,12 +55,12 @@ debugrace:
 	GORACE=halt_on_error=1 $(GO) test -tags trikdebug -race ./internal/graph ./internal/dynamic ./internal/view ./internal/server ./internal/obs ./internal/obs/trace ./internal/registry
 
 # Runs the headline benches (static decompose, engine churn through the
-# per-edge / batched / parallel paths, server mixed workload, loading and
-# setting up the Epinions stand-in, a fresh dual view on it) and pipes
-# the stream through cmd/benchjson, which echoes it and drops a
-# machine-readable BENCH_<stamp>.json with the host shape alongside.
+# per-edge / batched / parallel paths, server mixed workload, parsing,
+# loading and setting up the Epinions stand-in, a fresh dual view on it)
+# and pipes the stream through cmd/benchjson, which echoes it and drops
+# a machine-readable BENCH_<stamp>.json with the host shape alongside.
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkFreezeStatic$$|BenchmarkDecomposeStatic$$|BenchmarkTriangleCountStatic$$|BenchmarkEngineChurn$$|BenchmarkServerMixedWorkload$$|BenchmarkDecomposeExternal$$|BenchmarkLoadEdgeList$$|BenchmarkSetupEpinions$$|BenchmarkDualViewAgainstEpinions$$' -benchmem -benchtime 3s . | $(GO) run ./cmd/benchjson
+	$(GO) test -run '^$$' -bench 'BenchmarkFreezeStatic$$|BenchmarkDecomposeStatic$$|BenchmarkTriangleCountStatic$$|BenchmarkEngineChurn$$|BenchmarkServerMixedWorkload$$|BenchmarkDecomposeExternal$$|BenchmarkParseEdgeList$$|BenchmarkLoadEdgeList$$|BenchmarkSetupEpinions$$|BenchmarkDualViewAgainstEpinions$$' -benchmem -benchtime 3s . | $(GO) run ./cmd/benchjson
 
 # End-to-end load benchmark: boots `trikcore serve` with the flight
 # recorder armed, drives an open-loop Zipf mixed workload at it with

@@ -17,6 +17,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
@@ -548,6 +549,27 @@ func BenchmarkLoadEdgeList(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := graph.LoadEdgeListFile(path); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkParseEdgeList streams the Epinions stand-in's edge-list bytes
+// through ReadEdgeListFunc, counting edges: the one-thread parse, which
+// BenchmarkLoadEdgeList's chunked parse, key sort and build go beyond.
+func BenchmarkParseEdgeList(b *testing.B) {
+	data, err := os.ReadFile(epinionsFile(b))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		n := 0
+		if err := graph.ReadEdgeListFunc(bytes.NewReader(data), func(u, v graph.Vertex) error {
+			n++
+			return nil
+		}); err != nil || n != 405_741 {
+			b.Fatalf("parsed %d edges: %v", n, err)
 		}
 	}
 }

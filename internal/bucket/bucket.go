@@ -24,8 +24,7 @@ type Queue struct {
 	arr      []int32 // items ordered by priority (mutated in place)
 	pos      []int32 // pos[item] = index of item in arr
 	binStart []int32 // binStart[v] = index in arr of the first item with priority v
-	cur      int32   // next position in arr to pop
-	popped   []bool  // popped[item] reports whether the item left the queue
+	cur      int32   // next position in arr to pop; arr[:cur] are the popped items
 }
 
 // New builds a queue over items 0..len(vals)-1 with the given initial
@@ -42,12 +41,12 @@ func New(vals []int32) *Queue {
 		}
 	}
 	q := &Queue{
-		vals:     append([]int32(nil), vals...),
+		vals:     make([]int32, n),
 		arr:      make([]int32, n),
 		pos:      make([]int32, n),
 		binStart: make([]int32, maxVal+2),
-		popped:   make([]bool, n),
 	}
+	copy(q.vals, vals)
 	// Counting sort: count items per priority, then prefix-sum into bin
 	// start offsets.
 	counts := make([]int32, maxVal+2)
@@ -79,7 +78,7 @@ func (q *Queue) Len() int { return len(q.arr) - int(q.cur) }
 func (q *Queue) Val(i int32) int32 { return q.vals[i] }
 
 // Popped reports whether item i has been removed by PopMin.
-func (q *Queue) Popped(i int32) bool { return q.popped[i] }
+func (q *Queue) Popped(i int32) bool { return q.pos[i] < q.cur }
 
 // PopMin removes and returns an item with minimum priority. The second
 // result is its priority; ok is false when the queue is empty.
@@ -89,8 +88,20 @@ func (q *Queue) PopMin() (item, val int32, ok bool) {
 	}
 	item = q.arr[q.cur]
 	q.cur++
-	q.popped[item] = true
 	return item, q.vals[item], true
+}
+
+// Drained returns the queue's own arrays once every item has been
+// popped: the items in pop order, each item's index in that order, and
+// each item's priority when it was popped. Popped items never move, and
+// Dec touches only unpopped ones, so a drained queue holds exactly
+// these. The queue must not be used afterwards. Drained panics if items
+// remain.
+func (q *Queue) Drained() (order, orderOf, vals []int32) {
+	if q.Len() != 0 {
+		panic(fmt.Sprintf("bucket: Drained with %d items left", q.Len()))
+	}
+	return q.arr, q.pos, q.vals
 }
 
 // Dec decreases the priority of item i by one, in O(1). It panics if the
@@ -98,7 +109,7 @@ func (q *Queue) PopMin() (item, val int32, ok bool) {
 // monotonicity invariant is violated (its priority is not strictly greater
 // than that of the last popped item).
 func (q *Queue) Dec(i int32) {
-	if q.popped[i] {
+	if q.Popped(i) {
 		panic(fmt.Sprintf("bucket: Dec on popped item %d", i))
 	}
 	v := q.vals[i]

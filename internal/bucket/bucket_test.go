@@ -2,6 +2,7 @@ package bucket
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -81,7 +82,9 @@ func TestEmptyQueue(t *testing.T) {
 // TestQuickAgainstNaive simulates a peeling workload: repeatedly pop the
 // minimum, then decrement a random subset of items whose value exceeds the
 // popped value (mirroring the guard in peeling algorithms), and checks the
-// queue agrees with a naive O(n) implementation throughout.
+// queue agrees with a naive O(n) implementation throughout, Popped
+// included. Once drained, the queue's arrays must be the pop sequence,
+// its inverse and the popped values.
 func TestQuickAgainstNaive(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -96,6 +99,7 @@ func TestQuickAgainstNaive(t *testing.T) {
 		for i := range alive {
 			alive[i] = true
 		}
+		var seq, popped []int32
 		for step := 0; step < n; step++ {
 			item, v, ok := q.PopMin()
 			if !ok {
@@ -112,6 +116,7 @@ func TestQuickAgainstNaive(t *testing.T) {
 				return false
 			}
 			alive[item] = false
+			seq, popped = append(seq, item), append(popped, v)
 			// Random guarded decrements.
 			for i := 0; i < n; i++ {
 				j := int32(rng.Intn(n))
@@ -120,17 +125,39 @@ func TestQuickAgainstNaive(t *testing.T) {
 					naive[j]--
 				}
 			}
-			// Values must stay in sync.
+			// Values and membership must stay in sync.
 			for i := int32(0); i < int32(n); i++ {
-				if q.Val(i) != naive[i] {
+				if q.Val(i) != naive[i] || q.Popped(i) == alive[i] {
 					return false
 				}
 			}
 		}
-		_, _, ok := q.PopMin()
-		return !ok
+		if _, _, ok := q.PopMin(); ok {
+			return false
+		}
+		order, orderOf, kappa := q.Drained()
+		if !slices.Equal(order, seq) {
+			return false
+		}
+		for k, item := range seq {
+			if orderOf[item] != int32(k) || kappa[item] != popped[k] {
+				return false
+			}
+		}
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+func TestDrainedPanicsWithItemsLeft(t *testing.T) {
+	q := New([]int32{0, 1})
+	q.PopMin()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Drained with an item left did not panic")
+		}
+	}()
+	q.Drained()
 }

@@ -29,17 +29,16 @@ type PeelResult struct {
 //
 // Edges with support 0 lie in no triangle, so they have κ = 0, decrement
 // nothing and never appear in another edge's merge. They are the initial
-// bucket-0 block and pop first; Peel records their κ and Order slot and
-// leaves them out of the live rows entirely. The Dec sequence, and with
-// it κ, Order and OrderOf, is the one a peel over every edge produces.
-// The support slice is not mutated.
+// bucket-0 block and pop first; Peel leaves them out of the live rows
+// entirely. The Dec sequence, and with it κ, Order and OrderOf, is the
+// one a peel over every edge produces.
+//
+// The result is the drained queue itself: its pop sequence is Order,
+// its positions OrderOf and its final priorities κ (bucket.Drained), and
+// since pops are non-decreasing, MaxKappa is the last popped value. The
+// support slice is not mutated.
 func Peel(s *graph.Static, support []int32) PeelResult {
-	m := s.NumEdges()
-	r := PeelResult{
-		Kappa:   make([]int32, m),
-		Order:   make([]int32, 0, m),
-		OrderOf: make([]int32, m),
-	}
+	var r PeelResult
 	la := graph.NewLiveAdj(s, support)
 	q := bucket.New(support)
 	for {
@@ -47,12 +46,7 @@ func Peel(s *graph.Static, support []int32) PeelResult {
 		if !ok {
 			break
 		}
-		r.Kappa[et] = kt
-		r.OrderOf[et] = int32(len(r.Order))
-		r.Order = append(r.Order, et)
-		if kt > r.MaxKappa {
-			r.MaxKappa = kt
-		}
+		r.MaxKappa = kt
 		if support[et] == 0 {
 			continue
 		}
@@ -70,6 +64,7 @@ func Peel(s *graph.Static, support []int32) PeelResult {
 			return true
 		})
 	}
+	r.Order, r.OrderOf, r.Kappa = q.Drained()
 	return r
 }
 

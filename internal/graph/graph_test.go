@@ -327,8 +327,9 @@ func TestFromEdges(t *testing.T) {
 
 // TestSortKeysMatchesSlicesSort checks the radix key sort against
 // slices.Sort on random edge keys with duplicates, negative ids and ids
-// at the int32 extremes, at sizes from 0 to 10^5, and on keys whose ids
-// share every bit but one.
+// at the int32 extremes, at sizes from 0 to 10^5 and on both sides of
+// parallelSortMin, and on keys whose ids share every bit but one: on
+// one worker, on 2 to 4 workers, and as sortKeys picks.
 func TestSortKeysMatchesSlicesSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	ids := []func() Vertex{
@@ -338,7 +339,7 @@ func TestSortKeysMatchesSlicesSort(t *testing.T) {
 		func() Vertex { return []Vertex{math.MaxInt32, math.MinInt32, -1, 0, 1, math.MaxInt32 - 1}[rng.Intn(6)] },
 		func() Vertex { return Vertex(rng.Intn(2)) << 30 },
 	}
-	for _, n := range []int{0, 1, 2, 3, 10, 1000, 100_000} {
+	for _, n := range []int{0, 1, 2, 3, 10, 1000, parallelSortMin - 1, parallelSortMin, 100_000} {
 		for c, id := range ids {
 			var keys []int64
 			for len(keys) < n {
@@ -354,8 +355,13 @@ func TestSortKeysMatchesSlicesSort(t *testing.T) {
 			keys = keys[:n]
 			want := slices.Clone(keys)
 			slices.Sort(want)
-			if got := sortKeys(keys); !slices.Equal(got, want) {
+			if got := sortKeys(slices.Clone(keys)); !slices.Equal(got, want) {
 				t.Fatalf("n=%d ids#%d: radix order differs from slices.Sort", n, c)
+			}
+			for workers := 1; workers <= 4; workers++ {
+				if got := sortKeysOn(slices.Clone(keys), workers); !slices.Equal(got, want) {
+					t.Fatalf("n=%d ids#%d, %d workers: radix order differs from slices.Sort", n, c, workers)
+				}
 			}
 		}
 	}

@@ -23,21 +23,21 @@ type LiveAdj struct {
 func packLive(w, eid int32) int64 { return int64(w)<<32 | int64(uint32(eid)) }
 
 // NewLiveAdj returns a fresh live adjacency over the edges of s whose
-// support (indexed by dense edge id) is positive, sized to them exactly:
-// an edge in no triangle is never the second or third edge of one, so a
-// peel has no use for its entries. The Static view is not modified; each
-// LiveAdj owns its row storage.
+// support (indexed by dense edge id) is positive: an edge in no triangle
+// is never the second or third edge of one, so a peel has no use for its
+// entries. The copy is branch-free: every entry is stored at the cursor,
+// which advances only past entries of positive support, so one slack
+// slot past the kept entries absorbs the last store. The Static view is
+// not modified; each LiveAdj owns its row storage.
 func NewLiveAdj(s *Static, support []int32) *LiveAdj {
 	n := s.NumVertices()
 	entries := 0
 	for _, x := range support {
-		if x > 0 {
-			entries += 2
-		}
+		entries += 2 * int(positive(x))
 	}
 	la := &LiveAdj{
 		s:     s,
-		row:   make([]int64, entries),
+		row:   make([]int64, entries+1),
 		start: make([]int32, n),
 		end:   make([]int32, n),
 	}
@@ -46,15 +46,17 @@ func NewLiveAdj(s *Static, support []int32) *LiveAdj {
 		nbr, eid := s.Row(int32(u)) //trikcheck:checked u < n, which the view bounds to int32
 		la.start[u] = at
 		for k, w := range nbr {
-			if support[eid[k]] > 0 {
-				la.row[at] = packLive(w, eid[k])
-				at++
-			}
+			la.row[at] = packLive(w, eid[k])
+			at += positive(support[eid[k]])
 		}
 		la.end[u] = at
 	}
 	return la
 }
+
+// positive is 1 for a positive support and 0 for a zero one, without a
+// branch: -x is negative exactly when x is positive.
+func positive(x int32) int32 { return int32(uint32(-x) >> 31) }
 
 // RemoveEdge deletes edge i from both endpoint rows. Callers are expected
 // to remove each edge once.

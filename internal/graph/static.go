@@ -292,6 +292,24 @@ func rankLess(u, w, du, dw int32) bool {
 	return u < w
 }
 
+// parallelDo runs fn(0), …, fn(n-1) on one goroutine each and waits
+// for them; a single call runs inline.
+func parallelDo(n int, fn func(i int)) {
+	if n == 1 {
+		fn(0)
+		return
+	}
+	var wg sync.WaitGroup
+	wg.Add(n)
+	for i := range n {
+		go func() {
+			defer wg.Done()
+			fn(i)
+		}()
+	}
+	wg.Wait()
+}
+
 // parallelBlocks runs fn over [0, n) split into fixed-size blocks handed
 // out through an atomic counter, so uneven (power-law) block costs
 // self-balance across GOMAXPROCS workers. Small inputs run inline.

@@ -1,7 +1,6 @@
 package plot
 
 import (
-	"container/heap"
 	"sort"
 
 	"trikcore/internal/core"
@@ -123,7 +122,7 @@ func density[T plotValue](s *graph.Static, vals []T) Series {
 			}
 			if val := vals[eids[k]]; !queued[w] || val > reach[w] {
 				queued[w], reach[w] = true, val
-				heap.Push(pq, frontierItem[T]{v: w, val: val})
+				pq.push(frontierItem[T]{v: w, val: val})
 			}
 		}
 	}
@@ -132,8 +131,8 @@ func density[T plotValue](s *graph.Static, vals []T) Series {
 	for len(out.Points) < n {
 		// Drain the frontier of the current component.
 		progressed := false
-		for pq.Len() > 0 {
-			it := heap.Pop(pq).(frontierItem[T])
+		for len(pq.items) > 0 {
+			it := pq.pop()
 			if visited[it.v] || reach[it.v] != it.val {
 				continue // stale entry
 			}
@@ -160,32 +159,67 @@ type frontierItem[T plotValue] struct {
 	val T
 }
 
-// frontier is a max-heap on val; ties break on the external id of the
-// vertex, which is what keeps the enumeration independent of dense
-// vertex numbering. (v, val) pairs are unique — a vertex is re-pushed
-// only with a strictly larger value — so the order is total and the pop
-// sequence is deterministic regardless of push order.
+// frontier is a binary max-heap on val; ties break on the external id
+// of the vertex, which is what keeps the enumeration independent of
+// dense vertex numbering. (v, val) pairs are unique — a vertex is
+// re-pushed only with a strictly larger value — so the order is total
+// and the pop sequence is deterministic regardless of push order. Items
+// are pushed and popped by value, so the heap allocates only when its
+// array grows.
 type frontier[T plotValue] struct {
 	items []frontierItem[T]
 	orig  []graph.Vertex
 }
 
-func (h *frontier[T]) Len() int { return len(h.items) }
-func (h *frontier[T]) Less(i, j int) bool {
-	a, b := h.items[i], h.items[j]
+// before reports whether a pops before b.
+func (h *frontier[T]) before(a, b frontierItem[T]) bool {
 	if a.val != b.val {
 		return a.val > b.val
 	}
 	return h.orig[a.v] < h.orig[b.v]
 }
-func (h *frontier[T]) Swap(i, j int) { h.items[i], h.items[j] = h.items[j], h.items[i] }
-func (h *frontier[T]) Push(x any)    { h.items = append(h.items, x.(frontierItem[T])) }
-func (h *frontier[T]) Pop() any {
-	old := h.items
-	n := len(old)
-	it := old[n-1]
-	h.items = old[:n-1]
-	return it
+
+// push adds it and sifts it up to its place.
+func (h *frontier[T]) push(it frontierItem[T]) {
+	h.items = append(h.items, it)
+	j := len(h.items) - 1
+	for j > 0 {
+		i := (j - 1) / 2
+		if !h.before(it, h.items[i]) {
+			break
+		}
+		h.items[j] = h.items[i]
+		j = i
+	}
+	h.items[j] = it
+}
+
+// pop removes and returns the first item: the last item takes the root
+// and sifts down.
+func (h *frontier[T]) pop() frontierItem[T] {
+	top := h.items[0]
+	n := len(h.items) - 1
+	it := h.items[n]
+	h.items = h.items[:n]
+	j := 0
+	for {
+		c := 2*j + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && h.before(h.items[c+1], h.items[c]) {
+			c++
+		}
+		if !h.before(h.items[c], it) {
+			break
+		}
+		h.items[j] = h.items[c]
+		j = c
+	}
+	if n > 0 {
+		h.items[j] = it
+	}
+	return top
 }
 
 // sortSeeds orders vertices by seed value descending, id ascending.
