@@ -442,6 +442,57 @@ func BenchmarkEngineChurn(b *testing.B) {
 	}
 }
 
+// BenchmarkFreezeViewEpinions times Engine.FreezeView on the Epinions
+// stand-in after each untimed batch: /8 in serve's shape (one serial 8+8
+// batch, 8 new edges between random vertices in and the previous
+// batch's 8 out) and /1000 in ingest's (the 1000+1000 stream of
+// epinionsBulk at 2 workers). The view is built from the previous one,
+// as each publication builds it.
+func BenchmarkFreezeViewEpinions(b *testing.B) {
+	if testing.Short() {
+		b.Skip("405k-edge stand-in; skipped under -short")
+	}
+	g, batches := epinionsBulk()
+	b.Run("8", func(b *testing.B) {
+		en := dynamic.NewEngine(g)
+		n := g.NumVertices()
+		rng := rand.New(rand.NewSource(5))
+		var prev []dynamic.EdgeOp
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			ops := prev
+			prev = nil
+			for len(prev) < 8 {
+				u, v := graph.Vertex(rng.Intn(n)), graph.Vertex(rng.Intn(n))
+				if u != v && !en.HasEdge(u, v) {
+					prev = append(prev, dynamic.EdgeOp{U: u, V: v})
+				}
+			}
+			for k := range ops {
+				ops[k].Del = true
+			}
+			en.ApplyBatch(append(ops, prev...))
+			b.StartTimer()
+			en.FreezeView()
+		}
+	})
+	b.Run("1000", func(b *testing.B) {
+		en := dynamic.NewEngine(g)
+		en.ApplyBatchParallel(batches[0], 2)
+		en.FreezeView()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			en.ApplyBatchParallel(batches[1+i%(len(batches)-1)], 2)
+			b.StartTimer()
+			en.FreezeView()
+		}
+	})
+}
+
 var (
 	bulkOnce    sync.Once
 	bulkGraph   *graph.Graph

@@ -150,7 +150,7 @@ func (c *applyCtx) edgeActive(e int32) bool {
 	if c.sMark[e] == c.gen {
 		return c.sKappa[e] >= 0
 	}
-	return c.en.pendMark[e] != c.en.pendGen && c.en.kappa[e] >= 0
+	return c.en.par.pendMark[e] != c.en.par.pendGen && c.en.kappa[e] >= 0
 }
 
 // beginOff opens an op: the off-set epoch for the edge with dense

@@ -62,18 +62,9 @@ type Engine struct {
 	// created per epoch in parallel.go and share nothing with it.
 	ser applyCtx
 
-	// pendMark stamps edges that are structurally present but logically
-	// absent during a parallel epoch: ApplyBatchParallel pre-inserts every
-	// batch insertion into the substrate, and pendMark[eid] == pendGen
-	// masks those edges from staged traversals until their owning region
-	// activates them. Outside an epoch no edge carries the current
-	// generation, so serial paths never consult it.
-	pendMark []uint32
-	pendGen  uint32
-
-	// par is the reusable workspace of ApplyBatchParallel (region
-	// partitioning, worker contexts, merge marks); empty until the first
-	// parallel epoch.
+	// par is the reusable workspace of ApplyBatchParallel (pending-insert
+	// marks, region partitioning, worker contexts, merge marks); empty
+	// until the first parallel epoch.
 	par parScratch
 
 	// onKappaChange, when set, observes every κ transition of a dense edge
@@ -160,7 +151,6 @@ func NewEngine(g *graph.Graph) *Engine {
 func (en *Engine) ensureEdgeCap() {
 	c := en.d.EdgeCap()
 	en.kappa = grow(en.kappa, c)
-	en.pendMark = grow(en.pendMark, c)
 	en.ser.growEdges(c)
 }
 

@@ -36,10 +36,6 @@ func (en *Engine) CheckInvariants() error {
 		return fmt.Errorf("dynamic: scratch marks track %d/%d edge slots, substrate has %d",
 			len(ser.sc.st), len(ser.sc.inQueue), c)
 	}
-	if len(en.pendMark) < c {
-		return fmt.Errorf("dynamic: pending-insert marks track %d edge slots, substrate has %d",
-			len(en.pendMark), c)
-	}
 	if len(ser.offStamp) < en.d.VertexCap() {
 		return fmt.Errorf("dynamic: off stamps track %d vertex slots, substrate has %d",
 			len(ser.offStamp), en.d.VertexCap())
@@ -69,9 +65,12 @@ func (en *Engine) CheckInvariants() error {
 	}
 	// No live edge may carry the current pending-insert generation outside
 	// an epoch (ApplyBatchParallel retires the generation before returning).
+	// The marks exist once an epoch has run, and cover the edge slots of
+	// the last one; slots grown since carry no mark.
 	var pend error
+	p := &en.par
 	en.d.ForEachEdgeID(func(eid int32) bool {
-		if en.pendMark[eid] == en.pendGen && en.pendGen != 0 {
+		if p.pendGen != 0 && int(eid) < len(p.pendMark) && p.pendMark[eid] == p.pendGen {
 			pend = fmt.Errorf("dynamic: edge %d still marked pending-insert outside an epoch", eid)
 			return false
 		}

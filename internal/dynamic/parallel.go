@@ -55,13 +55,13 @@ func (en *Engine) applyParallel(tr *trace.Trace, ops []EdgeOp, workers int) (kep
 	sp := en.startStage(tr, stResolve)
 	buf := canonicalizeOps(ops, en.ser.sc.ops)
 	en.ser.sc.ops = buf
-	en.pendGen++
-	if en.pendGen == 0 {
+	p.pendGen++
+	if p.pendGen == 0 {
 		// Generation wrapped: wipe stale marks so they cannot collide.
-		for i := range en.pendMark {
-			en.pendMark[i] = 0
+		for i := range p.pendMark {
+			p.pendMark[i] = 0
 		}
-		en.pendGen = 1
+		p.pendGen = 1
 	}
 	resolved := p.resolved[:0]
 	for _, op := range buf {
@@ -84,9 +84,10 @@ func (en *Engine) applyParallel(tr *trace.Trace, ops []EdgeOp, workers int) (kep
 	p.resolved = resolved
 	en.ensureEdgeCap()
 	en.ensureVertexCap()
+	p.pendMark = grow(p.pendMark, en.d.EdgeCap())
 	for _, r := range resolved {
 		if !r.del {
-			en.pendMark[r.eid] = en.pendGen
+			p.pendMark[r.eid] = p.pendGen
 		}
 	}
 	sp.End()
@@ -236,10 +237,21 @@ type region struct {
 }
 
 // parScratch is the engine-owned workspace of ApplyBatchParallel, reused
-// across epochs: the resolved op list, the ball-stamping and union-find
-// state of partitioning, the region records, the per-worker staged
-// contexts, and the merge-time written-edge marks.
+// across epochs: the pending-insert marks, the resolved op list, the
+// ball-stamping and union-find state of partitioning, the region
+// records, the per-worker staged contexts, and the merge-time
+// written-edge marks. An engine that never runs an epoch allocates none
+// of it.
 type parScratch struct {
+	// pendMark stamps edges that are structurally present but logically
+	// absent during an epoch: the resolve stage pre-inserts every batch
+	// insertion into the substrate, and pendMark[eid] == pendGen masks
+	// those edges from staged traversals until their owning region
+	// activates them. The resolve stage sizes it to the substrate's edge
+	// capacity; outside an epoch no edge carries the current generation,
+	// so serial paths never consult it.
+	pendMark  []uint32
+	pendGen   uint32
 	resolved  []resolvedOp
 	ufParent  []int32
 	regionID  []int32
@@ -301,9 +313,9 @@ func (en *Engine) mergeStaged(writes, vals []int32) {
 	for i, e := range writes {
 		v := vals[i]
 		var old int32
-		if en.pendMark[e] == en.pendGen {
+		if p := &en.par; p.pendMark[e] == p.pendGen {
 			old = -1
-			en.pendMark[e] = 0
+			p.pendMark[e] = 0
 		} else {
 			old = en.kappa[e]
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 )
 
 // freezeLog is what a Dense records between freezes once it has been
@@ -18,9 +19,6 @@ type freezeLog struct {
 	// orig is the backing array of view.OrigID, with room to append: the
 	// positions of later views only grow at its end.
 	orig []Vertex
-	// deg[u] is the degree of dense vertex u in view: a compact copy the
-	// rank comparisons read instead of the rows' slice headers.
-	deg []int32
 	// rows and edges list the marked dense vertex rows and edge slots;
 	// rowMark and edgeMark deduplicate them.
 	rows, edges       []int32
@@ -141,10 +139,9 @@ func (d *Dense) FreezeFresh() *Static {
 // first Freeze returns s itself and later ones share s's unchanged
 // chunks. NewDenseFromStatic keeps slots = positions and edge slots =
 // s's edge ids, so s is exactly the view a from-scratch Freeze would
-// build; the log's id maps start as the identity and its degrees as the
-// rows'. The Dense's views share s's storage, so s must stay valid (a
-// mapped view open) for as long as any of them is in use. s is not
-// written.
+// build, and the log's id maps start as the identity. The Dense's views
+// share s's storage, so s must stay valid (a mapped view open) for as
+// long as any of them is in use. s is not written.
 func NewDenseFrozen(s *Static) *Dense {
 	d := NewDenseFromStatic(s)
 	n, m := len(d.orig), len(d.edgeU)
@@ -153,16 +150,12 @@ func NewDenseFrozen(s *Static) *Dense {
 		staticOf: make([]int32, m),
 		edgeOf:   make([]int32, m),
 		orig:     s.OrigID[:n:n],
-		deg:      make([]int32, n),
 		rowMark:  make([]bool, n),
 		edgeMark: make([]bool, m),
 	}
 	for e := range fz.staticOf {
 		fz.staticOf[e] = int32(e) //trikcheck:checked e < m, which the view bounds to int32
 		fz.edgeOf[e] = int32(e)   //trikcheck:checked e < m, which the view bounds to int32
-	}
-	for u, row := range d.rows {
-		fz.deg[u] = int32(len(row)) //trikcheck:checked degrees ≤ 2m, which the view bounds to int32
 	}
 	d.fz = fz
 	if debugChecks {
@@ -200,10 +193,12 @@ func (d *Dense) newFreezeLog() *freezeLog {
 }
 
 // freezeWith is the one view builder. It assigns ids to the marked edge
-// slots, re-freezes the row blocks that hold a marked row, a moved edge
-// or a flipped out-row, copies on write the endpoint pages of the ids it
+// slots, re-freezes the row blocks that hold a marked row or an endpoint
+// of a moved edge, copies on write the endpoint pages of the ids it
 // (re)assigned, appends new vertices, and clears the marks. It returns
-// the view and the ids whose edge or marked state changed.
+// the view and the ids whose edge or marked state changed. The view
+// stores rows only: its degree-oriented half is derived from them on
+// first use (Static.oriented).
 func (d *Dense) freezeWith(fz *freezeLog) (*Static, []int32) {
 	// Same overflow stance as FreezeStatic: the 2M adjacency offsets are
 	// int32, so refuse rather than truncate. Vertex ids are already bounded
@@ -216,8 +211,8 @@ func (d *Dense) freezeWith(fz *freezeLog) (*Static, []int32) {
 
 	// Positions: dense ids while no slot is free, else live slots
 	// compacted in ascending order (only ever on a build from scratch,
-	// nPrev = 0). The relabeling is monotone, so row order, u < v and
-	// the rank tie-break survive it.
+	// nPrev = 0). The relabeling is monotone, so row order and u < v
+	// survive it.
 	var posOf, denseAt []int32
 	if len(d.freeV) > 0 {
 		posOf = make([]int32, len(d.orig))
@@ -239,11 +234,8 @@ func (d *Dense) freezeWith(fz *freezeLog) (*Static, []int32) {
 
 	m, changed := d.assignEdgeIDs(fz, pos)
 
-	// Blocks to re-freeze: marked rows, both endpoints of moved edges,
-	// and out-rows flipped by a neighbor's degree change. Only the
-	// marked rows are scanned for flips: an unmarked u kept its degree
-	// and neighbors, so only the rank of a marked neighbor w can move.
-	// fz.deg moves to the new degrees on the way.
+	// Blocks to re-freeze: those of marked live rows and of both
+	// endpoints of moved edges, whose ids changed in their rows.
 	markBlock := func(p int32) {
 		b := p >> blockShift
 		for int(b) >= len(fz.blockMark) {
@@ -254,42 +246,21 @@ func (d *Dense) freezeWith(fz *freezeLog) (*Static, []int32) {
 			fz.blockList = append(fz.blockList, b)
 		}
 	}
-	for len(fz.deg) < len(d.orig) {
-		fz.deg = append(fz.deg, 0)
-	}
-	for _, w := range fz.rows {
-		if !d.vlive[w] {
-			continue
-		}
-		markBlock(pos(w))
-		oldW, newW := fz.deg[w], int32(len(d.rows[w])) //trikcheck:checked degrees ≤ 2m, guarded above
-		fz.deg[w] = newW
-		if int(pos(w)) >= nPrev || oldW == newW {
-			continue
-		}
-		for _, packed := range d.rows[w] {
-			u := int32(packed >> 32)
-			if int(u) < len(fz.rowMark) && fz.rowMark[u] {
-				continue
-			}
-			if du := fz.deg[u]; rankLess(u, w, du, oldW) != rankLess(u, w, du, newW) {
-				markBlock(pos(u))
-			}
+	for _, u := range fz.rows {
+		if d.vlive[u] {
+			markBlock(pos(u))
 		}
 	}
 	for _, e := range fz.moved {
 		markBlock(pos(d.edgeU[e]))
 		markBlock(pos(d.edgeV[e]))
 	}
-	nb := (n + blockMask) >> blockShift
-	rows, outs := make([]rowChunk, nb), make([]rowChunk, nb)
+	rows := make([]rowChunk, (n+blockMask)>>blockShift)
 	copy(rows, prev.rows)
-	copy(outs, prev.outs)
 	// A bulk batch dirties most blocks; build those in parallel.
 	parallelBlocks(len(fz.blockList), func(lo, hi int) {
-		var scratch []int32
 		for _, b := range fz.blockList[lo:hi] {
-			rows[b], outs[b], scratch = d.buildBlock(int(b), n, fz.deg, fz.staticOf, posOf, denseAt, scratch)
+			rows[b] = d.buildBlock(int(b), n, fz.staticOf, posOf, denseAt)
 		}
 	})
 	for _, b := range fz.blockList {
@@ -349,7 +320,10 @@ func (d *Dense) freezeWith(fz *freezeLog) (*Static, []int32) {
 		byID, byIDPos = mergeIDIndex(byID, byIDPos, fz.orig, added)
 		fz.verts = added[:0]
 	}
-	s := &Static{OrigID: fz.orig[:n:n], byID: byID, byIDPos: byIDPos, m: m, rows: rows, outs: outs, edgeU: edgeU, edgeV: edgeV}
+	s := &Static{
+		OrigID: fz.orig[:n:n], byID: byID, byIDPos: byIDPos, m: m, rows: rows, edgeU: edgeU, edgeV: edgeV,
+		oriented: sync.OnceValue(func() *rowChunk { return orientRows(rows, n, m) }),
+	}
 
 	for _, u := range fz.rows {
 		fz.rowMark[u] = false
@@ -427,13 +401,10 @@ func (d *Dense) assignEdgeIDs(fz *freezeLog, pos func(int32) int32) (int, []int3
 	return m, changed
 }
 
-// buildBlock builds the row and out-row chunks of block b of an n-vertex
-// view from d's current rows, their degrees deg and edge ids staticOf;
-// posOf and denseAt are the position maps (nil for dense ids). Out-rows
-// go through scratch, as (neighbor, edge id) pairs, so both chunks are
-// allocated exactly; the scratch is returned for reuse. The rank
-// compares dense ids, which order like positions.
-func (d *Dense) buildBlock(b, n int, deg, staticOf, posOf, denseAt, scratch []int32) (rows, outs rowChunk, _ []int32) {
+// buildBlock builds the row chunk of block b of an n-vertex view, in
+// one allocation, from d's current rows and edge ids staticOf; posOf and
+// denseAt are the position maps (nil for dense ids).
+func (d *Dense) buildBlock(b, n int, staticOf, posOf, denseAt []int32) rowChunk {
 	lo, hi := b<<blockShift, min((b+1)<<blockShift, n)
 	k, total := hi-lo, 0
 	dense := d.rows
@@ -445,38 +416,24 @@ func (d *Dense) buildBlock(b, n int, deg, staticOf, posOf, denseAt, scratch []in
 		}
 	}
 	data := make([]int32, k+1+2*total)
-	rows = rowChunk{ptr: data[:k+1], nbr: data[k+1 : k+1+total], eid: data[k+1+total:]}
-	var outEnd [blockRows + 1]int32
-	out, at := scratch[:0], 0
+	rows := rowChunk{ptr: data[:k+1], nbr: data[k+1 : k+1+total], eid: data[k+1+total:]}
+	at := 0
 	for p := lo; p < hi; p++ {
 		u := int32(p) //trikcheck:checked p < n, bounded to int32 by Intern
 		if denseAt != nil {
 			u = denseAt[p]
 		}
-		row, du := dense[u], deg[u]
-		for _, packed := range row {
+		for _, packed := range dense[u] {
 			w, e := int32(packed>>32), staticOf[int32(uint32(packed))]
-			up := rankLess(u, w, du, deg[w])
 			if posOf != nil {
 				w = posOf[w]
 			}
 			rows.nbr[at], rows.eid[at] = w, e
 			at++
-			if up {
-				out = append(out, w, e)
-			}
 		}
-		rows.ptr[p-lo+1] = int32(at)         //trikcheck:checked row lengths sum to 2m, guarded by freezeWith
-		outEnd[p-lo+1] = int32(len(out) / 2) //trikcheck:checked out-rows sum to ≤ m, guarded by freezeWith
+		rows.ptr[p-lo+1] = int32(at) //trikcheck:checked row lengths sum to 2m, guarded by freezeWith
 	}
-	o := len(out) / 2
-	data = make([]int32, k+1+2*o)
-	outs = rowChunk{ptr: data[:k+1], nbr: data[k+1 : k+1+o], eid: data[k+1+o:]}
-	copy(outs.ptr, outEnd[:k+1])
-	for j := 0; j < o; j++ {
-		outs.nbr[j], outs.eid[j] = out[2*j], out[2*j+1]
-	}
-	return rows, outs, out[:0]
+	return rows
 }
 
 // mergeIDIndex returns the id index (ids ascending, with positions) of
@@ -527,7 +484,7 @@ func DiffViews(got, want *Static) error {
 		for _, side := range [2]struct {
 			name string
 			row  func(*Static, int32) ([]int32, []int32)
-		}{{"row", (*Static).Row}, {"out-row", (*Static).outRow}} {
+		}{{"row", (*Static).Row}, {"out-row", func(s *Static, u int32) ([]int32, []int32) { return s.oriented().row(u) }}} {
 			gn, ge := side.row(got, p)
 			wn, we := side.row(want, p)
 			if !slices.Equal(gn, wn) {

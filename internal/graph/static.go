@@ -18,12 +18,17 @@ import (
 //
 // Storage is tables of immutable chunks, so consecutive views of an
 // evolving graph can share it: rows live in blocks of blockRows
-// consecutive positions, each block holding its rows' neighbor, edge-id
-// and out-rows, and the edge endpoint table lives in pages of pageEdges
+// consecutive positions, each block holding its rows' neighbor and
+// edge-id rows, and the edge endpoint table lives in pages of pageEdges
 // ids. No chunk is written after its view is built; Dense.Freeze builds
 // each view from the previous one and replaces only the chunks that
 // changed. The flat builders (FreezeStatic, OpenMapped) point every chunk
 // into one flat array per kind, so they stay zero-copy.
+//
+// The out-rows are one chunk over all positions, built by fillOriented
+// from the rows. The flat builders store it; a view frozen from a Dense
+// derives it once, on first use, so a publication pays nothing for an
+// orientation its readers may never list.
 //
 // Views from the flat builders keep OrigID ascending and assign edge ids
 // in lexicographic (u, v) order of positions, which is also the order
@@ -40,8 +45,12 @@ type Static struct {
 	byID    []Vertex
 	byIDPos []int32
 	m       int
-	// rows[b] and outs[b] hold block b's neighbor rows and out-rows.
-	rows, outs []rowChunk
+	// rows[b] holds block b's neighbor rows.
+	rows []rowChunk
+	// oriented returns the out-rows: row u of the chunk is u's neighbors
+	// ranked above it (rankLess), sorted, with the parallel edge ids. It
+	// is safe for concurrent use, like the rest of the view.
+	oriented func() *rowChunk
 	// edgeU[p][k] and edgeV[p][k] are the endpoints (positions, u < v)
 	// of edge p*pageEdges + k.
 	edgeU, edgeV [][]int32
@@ -61,13 +70,13 @@ const (
 	pageMask   = pageEdges - 1
 )
 
-// rowChunk holds one kind of row (neighbor rows or out-rows) for the
-// blockRows consecutive positions of a block: row i of the block is
+// rowChunk holds the neighbor rows of the blockRows consecutive
+// positions of a block, or a view's out-rows: row i is
 // nbr[ptr[i]:ptr[i+1]], sorted ascending, with the edge ids at the same
 // offsets of eid. A flat-built chunk's slices are windows on the view's
 // flat arrays (ptr a window of the row offsets, nbr the whole neighbor
 // array); a chunk built by Dense.Freeze owns one allocation. The chunk
-// tables hold values, not pointers, so a kernel reaches a row with one
+// table holds values, not pointers, so a kernel reaches a row with one
 // load less.
 type rowChunk struct {
 	ptr, nbr, eid []int32
@@ -151,38 +160,60 @@ type flatCSR struct {
 // copying nothing.
 func (f flatCSR) static() *Static {
 	n, m := len(f.orig), len(f.edgeU)
-	rows, outs := make([]rowChunk, (n+blockMask)>>blockShift), make([]rowChunk, (n+blockMask)>>blockShift)
+	rows := make([]rowChunk, (n+blockMask)>>blockShift)
 	for b := range rows {
 		lo, hi := b<<blockShift, min((b+1)<<blockShift, n)
 		rows[b] = rowChunk{ptr: f.rowPtr[lo : hi+1], nbr: f.adjNbr, eid: f.adjEID}
-		outs[b] = rowChunk{ptr: f.outPtr[lo : hi+1], nbr: f.outNbr, eid: f.outEID}
 	}
+	out := &rowChunk{ptr: f.outPtr, nbr: f.outNbr, eid: f.outEID}
 	edgeU, edgeV := make([][]int32, (m+pageMask)>>pageShift), make([][]int32, (m+pageMask)>>pageShift)
 	for p := range edgeU {
 		lo, hi := p<<pageShift, min((p+1)<<pageShift, m)
 		edgeU[p], edgeV[p] = f.edgeU[lo:hi], f.edgeV[lo:hi]
 	}
-	return &Static{OrigID: f.orig, m: m, rows: rows, outs: outs, edgeU: edgeU, edgeV: edgeV}
+	return &Static{
+		OrigID: f.orig, m: m, rows: rows, edgeU: edgeU, edgeV: edgeV,
+		oriented: func() *rowChunk { return out },
+	}
 }
 
 // flatten writes the view into f, whose arrays are sized for it: the
-// inverse of flatCSR.static, for a view of any origin.
+// inverse of flatCSR.static, for a view of any origin. It copies the
+// ids, rows and endpoints and builds the oriented half from the rows, so
+// every view of a graph numbered alike flattens to the same arrays.
 func (s *Static) flatten(f flatCSR) {
 	copy(f.orig, s.OrigID)
-	f.rowPtr[0], f.outPtr[0] = 0, 0
-	for u := 0; u < s.NumVertices(); u++ {
-		nbr, eid := s.Row(int32(u))      //trikcheck:checked u < n, bounded to int32 at freeze
-		onbr, oeid := s.outRow(int32(u)) //trikcheck:checked u < n, bounded to int32 at freeze
-		at, out := f.rowPtr[u], f.outPtr[u]
-		copy(f.adjNbr[at:], nbr)
-		copy(f.adjEID[at:], eid)
-		copy(f.outNbr[out:], onbr)
-		copy(f.outEID[out:], oeid)
-		f.rowPtr[u+1] = at + int32(len(nbr))   //trikcheck:checked row lengths sum to 2m, bounded at freeze
-		f.outPtr[u+1] = out + int32(len(onbr)) //trikcheck:checked out-row lengths sum to m, bounded at freeze
-	}
+	f.copyRows(s.rows)
 	for i := range f.edgeU {
 		f.edgeU[i], f.edgeV[i] = s.Endpoints(int32(i)) //trikcheck:checked i < m, bounded to int32 at freeze
+	}
+	f.fillOriented()
+}
+
+// orientRows builds the out-rows of an n-vertex, m-edge view from its
+// row blocks: the rows are flattened and fillOriented filters them, as
+// the flat builders do.
+func orientRows(rows []rowChunk, n, m int) *rowChunk {
+	f := flatCSR{
+		rowPtr: make([]int32, n+1), adjNbr: make([]int32, 2*m), adjEID: make([]int32, 2*m),
+		outPtr: make([]int32, n+1), outNbr: make([]int32, m), outEID: make([]int32, m),
+	}
+	f.copyRows(rows)
+	f.fillOriented()
+	return &rowChunk{ptr: f.outPtr, nbr: f.outNbr, eid: f.outEID}
+}
+
+// copyRows writes the rows held in row blocks into f's row offsets,
+// neighbor and edge-id arrays.
+func (f flatCSR) copyRows(rows []rowChunk) {
+	f.rowPtr[0] = 0
+	for u := 0; u+1 < len(f.rowPtr); u++ {
+		p := int32(u) //trikcheck:checked u < n, bounded to int32 at freeze
+		nbr, eid := rows[p>>blockShift].row(p & blockMask)
+		at := f.rowPtr[u]
+		copy(f.adjNbr[at:], nbr)
+		copy(f.adjEID[at:], eid)
+		f.rowPtr[u+1] = at + int32(len(nbr)) //trikcheck:checked row lengths sum to 2m, bounded at freeze
 	}
 }
 
@@ -243,9 +274,10 @@ func (f flatCSR) fillEdgeIDs() {
 
 // fillOriented computes f's degree-oriented half from its symmetric rows:
 // count each row's higher-ranked neighbors, prefix-sum, then filter the
-// rows down. FreezeStatic aims it at heap arrays and the mapped-file
-// builder at the file's sections. Callers bound the vertex and edge
-// counts to int32 range first.
+// rows down. It is the one builder of out-rows: FreezeStatic aims it at
+// heap arrays, the mapped-file builders at the file's sections, and a
+// view frozen from a Dense at the arrays it derives on first use.
+// Callers bound the vertex and edge counts to int32 range first.
 func (f flatCSR) fillOriented() {
 	rowPtr, adjNbr := f.rowPtr, f.adjNbr
 	n := len(rowPtr) - 1
@@ -370,12 +402,6 @@ func (s *Static) PosOf(v Vertex) (int32, bool) {
 // and must not be modified.
 func (s *Static) Row(u int32) (nbr, eid []int32) {
 	return s.rows[u>>blockShift].row(u & blockMask)
-}
-
-// outRow returns u's out-row: its neighbors ranked above it, sorted, with
-// the parallel edge ids.
-func (s *Static) outRow(u int32) (nbr, eid []int32) {
-	return s.outs[u>>blockShift].row(u & blockMask)
 }
 
 // row returns the chunk's row i.
@@ -508,8 +534,9 @@ func (s *Static) ForEachTriangleOn(i int32, fn func(w, e1, e2 int32) bool) {
 // triangle three times. If fn returns false the iteration stops.
 func (s *Static) ForEachOrientedTriangle(i int32, fn func(e1, e2 int32) bool) {
 	u, v := s.Endpoints(i)
-	a, ida := s.outRow(u)
-	b, idb := s.outRow(v)
+	out := s.oriented()
+	a, ida := out.row(u)
+	b, idb := out.row(v)
 	p, q := 0, 0
 	for p < len(a) && q < len(b) {
 		x, y := a[p], b[q]
@@ -591,10 +618,11 @@ func (s *Static) Materialize() *Graph { return &Graph{d: *NewDenseFromStatic(s)}
 // lowest-ranked vertices.
 func (s *Static) TriangleCount() int64 {
 	var sum int64
+	out := s.oriented()
 	for u := 0; u < s.NumVertices(); u++ {
-		ou, _ := s.outRow(int32(u)) //trikcheck:checked u < n, bounded to int32 at freeze
+		ou, _ := out.row(int32(u)) //trikcheck:checked u < n, bounded to int32 at freeze
 		for _, w := range ou {
-			ow, _ := s.outRow(w)
+			ow, _ := out.row(w)
 			sum += int64(countMerge(ou, ow))
 		}
 	}

@@ -3,11 +3,13 @@ package view
 import (
 	"bytes"
 	"reflect"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"trikcore/internal/dynamic"
+	"trikcore/internal/gen"
 	"trikcore/internal/graph"
 )
 
@@ -150,6 +152,56 @@ func TestMemoSingleflight(t *testing.T) {
 	a, b := sn.PlotSVG(), sn.PlotSVG()
 	if &a[0] != &b[0] {
 		t.Fatal("PlotSVG re-rendered on a cache hit")
+	}
+}
+
+// TestOrientedHalfConcurrentFirstUse has four goroutines list the
+// oriented half of one fresh snapshot's view at once, through
+// TriangleCount and ForEachOrientedTriangle in alternating order. A view
+// frozen from the engine derives its out-rows on first use, so the four
+// race to derive them; each must list the same triangles as the others
+// and count as many as FreezeStatic over the same edges. The fixture has
+// more than 1024 vertices, so above one GOMAXPROCS the derivation itself
+// runs on parallel blocks.
+func TestOrientedHalfConcurrentFirstUse(t *testing.T) {
+	p := NewPublisherFromGraph(gen.PowerLawCluster(1500, 4, 0.5, 7))
+	e := p.Acquire().S.EdgeAt(0)
+	p.Apply([]dynamic.EdgeOp{{U: e.U, V: e.V, Del: true}})
+	s := p.Acquire().S
+	const readers = 4
+	counts := make([]int64, readers)
+	lists := make([][]int32, readers)
+	var wg sync.WaitGroup
+	for i := 0; i < readers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			list := func() {
+				for e := int32(0); int(e) < s.NumEdges(); e++ {
+					s.ForEachOrientedTriangle(e, func(e1, e2 int32) bool {
+						lists[i] = append(lists[i], e, e1, e2)
+						return true
+					})
+				}
+			}
+			if i%2 == 0 {
+				counts[i] = s.TriangleCount()
+				list()
+			} else {
+				list()
+				counts[i] = s.TriangleCount()
+			}
+		}(i)
+	}
+	wg.Wait()
+	want := graph.FreezeStatic(s.Materialize()).TriangleCount()
+	for i := 0; i < readers; i++ {
+		if counts[i] != want || int64(len(lists[i])) != 3*want {
+			t.Errorf("reader %d: TriangleCount %d, %d triangles listed; want %d", i, counts[i], len(lists[i])/3, want)
+		}
+		if !slices.Equal(lists[i], lists[0]) {
+			t.Errorf("reader %d listed other triangles than reader 0", i)
+		}
 	}
 }
 
