@@ -2,6 +2,7 @@ package trikcore_test
 
 import (
 	"bytes"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -160,5 +161,47 @@ func TestFacadePublisher(t *testing.T) {
 	p2 := trikcore.NewPublisherFromEngine(en)
 	if got := p2.Acquire().NumEdges(); got != 6 {
 		t.Fatalf("engine-wrapped publisher sees %d edges", got)
+	}
+}
+
+// TestFacadeSaveCSRFileEngineView writes a view an engine froze after a
+// deletion, whose top edge id moved into the freed slot, and requires
+// OpenMapped to read it back with the same edges and the bytes
+// SaveCSRFile gives for FreezeGraph of the same graph.
+func TestFacadeSaveCSRFileEngineView(t *testing.T) {
+	en := trikcore.NewEngine(cliqueGraph(8))
+	en.DeleteEdge(0, 1)
+	s, _ := en.FreezeView()
+	dir := t.TempDir()
+	path, ref := filepath.Join(dir, "view.tkcg"), filepath.Join(dir, "ref.tkcg")
+	if err := trikcore.SaveCSRFile(path, s); err != nil {
+		t.Fatal(err)
+	}
+	m, err := trikcore.OpenMapped(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	if got := m.Static().NumEdges(); got != 27 {
+		t.Fatalf("read back %d edges, want 27", got)
+	}
+	for i := int32(0); i < 27; i++ {
+		if e := m.Static().EdgeAt(i); !en.HasEdge(e.U, e.V) {
+			t.Fatalf("edge %d is %v, which the engine does not have", i, e)
+		}
+	}
+	if err := trikcore.SaveCSRFile(ref, trikcore.FreezeGraph(en.Graph())); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("SaveCSRFile bytes of the engine view differ from those of FreezeGraph")
 	}
 }

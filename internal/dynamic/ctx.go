@@ -14,12 +14,20 @@ import "fmt"
 //   - worker contexts (staged == true, see parallel.go): the substrate
 //     and Engine.kappa are frozen and read-only, κ writes land in a
 //     worker-local staging overlay (sKappa/sMark), and every edge whose κ
-//     or liveness the traversal depended on is recorded in the context's
-//     read set. Staged transitions only reach the engine later, through
-//     the funnel, at the epoch-barrier merge.
+//     or liveness the traversal depends on is in the context's read set.
+//     Staged transitions only reach the engine later, through the funnel,
+//     at the epoch-barrier merge.
 //
-// The staged branch in kappaOf/setK is the entire cost the serial path
-// pays for sharing one traversal implementation with the workers.
+// A staged context records reads per listing, not per visit. Its premise
+// is that no edge's liveness changes during an op: an insertion stages
+// its own edge live before it lists anything, and a deletion stages its
+// edge dead after its last visit. So each op records its own edge when
+// it starts (beginOff), and each listing drops the triangles with an absent co-edge
+// and records both co-edges of every triangle it merges, once (memo.go).
+// Every κ a traversal reads is of one of those edges, so kappaOf records
+// nothing. The staged branches in kappaOf, setK and listing are the
+// entire cost the serial path pays for sharing one traversal
+// implementation with the workers.
 type applyCtx struct {
 	en    *Engine
 	stats *Stats
@@ -91,11 +99,14 @@ func grow[T any](s []T, n int) []T {
 }
 
 // kappaOf reads the effective κ of edge e: the staging overlay when this
-// context has staged e, the engine's maintained value otherwise. Staged
-// contexts record the read for merge-time conflict validation.
+// context has staged e, the engine's maintained value otherwise. It
+// records nothing; trikdebug builds check that a staged read's edge is
+// already in the read set.
 func (c *applyCtx) kappaOf(e int32) int32 {
 	if c.staged {
-		c.readEdge(e)
+		if debugChecks && c.rMark[e] != c.gen {
+			panic(fmt.Sprintf("trikdebug: staged κ read of edge %d, which is not in the region's read set", e))
+		}
 		if c.sMark[e] == c.gen {
 			return c.sKappa[e]
 		}
@@ -116,11 +127,11 @@ func (c *applyCtx) setK(e, old, new int32) {
 }
 
 // stageKappa writes the staged κ of edge e. It is the staging funnel: the
-// only writer of sKappa/sMark, recording e in the write (and read) set on
-// first touch so the merge and the conflict validator see exactly the
-// edges this context moved.
+// only writer of sKappa/sMark, recording e in the write set on first
+// touch so the merge and the conflict validator see exactly the edges
+// this context moved. A context writes only edges it has read, so the
+// write set is a subset of the read set.
 func (c *applyCtx) stageKappa(e, v int32) {
-	c.readEdge(e)
 	if c.sMark[e] != c.gen {
 		c.sMark[e] = c.gen
 		c.writes = append(c.writes, e)
@@ -136,26 +147,23 @@ func (c *applyCtx) readEdge(e int32) {
 	}
 }
 
-// edgeActive reports whether edge e is logically present from this staged
-// context's point of view: staged edges by their overlay state (a staged
-// -1 is a completed deletion, anything else a live or activated edge),
-// unstaged edges by the shared batch state — pending-insert edges of the
-// batch are structurally present but logically absent until their owning
-// region activates them, and a base κ of -1 marks an edge another region
-// already deleted and merged (visible to the conflict-suffix context
-// only). The liveness read is recorded: the traversal's outcome depends
-// on it, so the validator must see it.
-func (c *applyCtx) edgeActive(e int32) bool {
-	c.readEdge(e)
+// live reports whether edge e is logically present from this staged
+// context's point of view: staged edges by their overlay (a staged -1 is
+// a completed deletion), unstaged ones by the engine's κ, which is -1 for
+// a pending insertion of the batch (structurally present, absent until
+// its region activates it) and for an edge another region already
+// deleted and merged (visible to the conflict-suffix context only). It
+// records nothing.
+func (c *applyCtx) live(e int32) bool {
 	if c.sMark[e] == c.gen {
 		return c.sKappa[e] >= 0
 	}
-	return c.en.par.pendMark[e] != c.en.par.pendGen && c.en.kappa[e] >= 0
+	return c.en.kappa[e] >= 0
 }
 
-// beginOff opens an op: the off-set epoch for the edge with dense
-// endpoints (du, dv), and an empty triangle memo.
-func (c *applyCtx) beginOff(du, dv int32) {
+// beginOff opens the op on edge eid: its off-set epoch, an empty triangle
+// memo and, on a staged context, eid in the read set.
+func (c *applyCtx) beginOff(eid int32) {
 	c.offGen++
 	if c.offGen == 0 {
 		// Generation counter wrapped: stale stamps could collide, so wipe
@@ -165,8 +173,11 @@ func (c *applyCtx) beginOff(du, dv int32) {
 		}
 		c.offGen = 1
 	}
-	c.offU, c.offV = du, dv
+	c.offU, c.offV = c.en.d.EdgeEndpoints(eid)
 	c.memo.reset()
+	if c.staged {
+		c.readEdge(eid)
+	}
 }
 
 // endOff closes the op, clearing the stamps of the listed (w, e1, e2)
@@ -197,23 +208,11 @@ func (c *applyCtx) triOff(p, q, w int32) bool {
 	return c.offStamp[third] == c.offGen
 }
 
-// coEdgesActive reports whether both co-edges of a triangle are logically
-// present: always on the serial context, by edgeActive (recording both
-// reads) on staged ones.
-func (c *applyCtx) coEdgesActive(e1, e2 int32) bool {
-	if !c.staged {
-		return true
-	}
-	a1 := c.edgeActive(e1)
-	return c.edgeActive(e2) && a1
-}
-
 // forEachActiveTriangleOn iterates the active triangles containing edge
 // eid during an op, passing the third dense vertex and the other two
-// dense edge ids. It reads eid's listing from the op's memo and filters
-// it on every visit: triangles in the off set are skipped, and staged
-// contexts additionally drop triangles with a logically absent co-edge
-// (pending inserts of the batch, staged or merged deletions).
+// dense edge ids. It reads eid's listing from the op's memo, which on a
+// staged context holds only triangles whose co-edges are live, and skips
+// the triangles in the off set.
 func (c *applyCtx) forEachActiveTriangleOn(eid int32, fn func(w, e1, e2 int32) bool) {
 	u, v := c.en.d.EdgeEndpoints(eid)
 	tris := c.listing(eid)
@@ -222,7 +221,7 @@ func (c *applyCtx) forEachActiveTriangleOn(eid int32, fn func(w, e1, e2 int32) b
 	mayBeOff := u == c.offU || u == c.offV || v == c.offU || v == c.offV
 	for i := 0; i < len(tris); i += 3 {
 		w, e1, e2 := tris[i], tris[i+1], tris[i+2]
-		if (mayBeOff && c.triOff(u, v, w)) || (c.staged && !c.coEdgesActive(e1, e2)) {
+		if mayBeOff && c.triOff(u, v, w) {
 			continue
 		}
 		if !fn(w, e1, e2) {
@@ -235,25 +234,20 @@ func (c *applyCtx) forEachActiveTriangleOn(eid int32, fn func(w, e1, e2 int32) b
 // which must already be structurally present with all its triangles
 // off. The new edge forms one triangle per common neighbor; they are
 // activated one at a time (Algorithm 2 step 1 / Algorithm 5 outer loop):
-// all start excluded, then each is switched on and processed. Triangles
-// a staged context drops are never stamped off, which is how the second
-// pass tells them apart.
+// all start excluded, then each is switched on and processed. A staged
+// context stages the edge live before listing it, so its listing keeps
+// the triangles whose co-edges are live.
 func (c *applyCtx) processEdgeInsert(eid int32) {
 	c.setK(eid, -1, 0)
 	c.stats.Insertions++
-	du, dv := c.en.d.EdgeEndpoints(eid)
-	c.beginOff(du, dv)
+	c.beginOff(eid)
 	tris := c.listing(eid)
 	for i := 0; i < len(tris); i += 3 {
-		if c.coEdgesActive(tris[i+1], tris[i+2]) {
-			c.offStamp[tris[i]] = c.offGen
-		}
+		c.offStamp[tris[i]] = c.offGen
 	}
 	for i := 0; i < len(tris); i += 3 {
-		if c.offStamp[tris[i]] == c.offGen {
-			c.offStamp[tris[i]] = 0
-			c.processTriangleInsert(eid, tris[i+1], tris[i+2])
-		}
+		c.offStamp[tris[i]] = 0
+		c.processTriangleInsert(eid, tris[i+1], tris[i+2])
 	}
 	c.endOff(tris)
 }
@@ -266,14 +260,11 @@ func (c *applyCtx) processEdgeInsert(eid int32) {
 // post-pass on the parallel path.
 func (c *applyCtx) processEdgeDelete(eid int32) {
 	c.stats.Deletions++
-	du, dv := c.en.d.EdgeEndpoints(eid)
-	c.beginOff(du, dv)
+	c.beginOff(eid)
 	tris := c.listing(eid)
 	for i := 0; i < len(tris); i += 3 {
-		if c.coEdgesActive(tris[i+1], tris[i+2]) {
-			c.offStamp[tris[i]] = c.offGen
-			c.processTriangleDelete(eid, tris[i+1], tris[i+2])
-		}
+		c.offStamp[tris[i]] = c.offGen
+		c.processTriangleDelete(eid, tris[i+1], tris[i+2])
 	}
 	if k := c.kappaOf(eid); k != 0 {
 		// Every triangle on the edge has been deactivated, so a correct

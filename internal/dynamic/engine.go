@@ -47,8 +47,11 @@ import (
 // concurrent use.
 type Engine struct {
 	d *graph.Dense
-	// kappa[eid] is κ of live edge eid; entries of free edge slots are
-	// stale and never read.
+	// kappa[eid] is κ of live edge eid and -1 in every free edge slot:
+	// a deletion's last transition drives κ to -1 before the slot is
+	// freed, and ensureEdgeCap fills new slots with -1. So an edge the
+	// epoch path pre-inserts reads as absent until its region activates
+	// it (parallel.go).
 	kappa []int32
 	// hist[k] counts live edges with κ=k; maxK is the largest k with
 	// hist[k] > 0. Both are maintained through every transition, making
@@ -62,9 +65,9 @@ type Engine struct {
 	// created per epoch in parallel.go and share nothing with it.
 	ser applyCtx
 
-	// par is the reusable workspace of ApplyBatchParallel (pending-insert
-	// marks, region partitioning, worker contexts, merge marks); empty
-	// until the first parallel epoch.
+	// par is the reusable workspace of ApplyBatchParallel (region
+	// partitioning, worker contexts, merge marks); empty until the first
+	// parallel epoch.
 	par parScratch
 
 	// onKappaChange, when set, observes every κ transition of a dense edge
@@ -147,10 +150,13 @@ func NewEngine(g *graph.Graph) *Engine {
 	return NewEngineFromDecomposition(core.Decompose(g))
 }
 
-// ensureEdgeCap grows all edge-indexed state to the dense edge capacity.
+// ensureEdgeCap grows all edge-indexed state to the dense edge capacity;
+// new κ slots hold -1, as every free slot does.
 func (en *Engine) ensureEdgeCap() {
 	c := en.d.EdgeCap()
-	en.kappa = grow(en.kappa, c)
+	for len(en.kappa) < c {
+		en.kappa = append(en.kappa, -1)
+	}
 	en.ser.growEdges(c)
 }
 

@@ -9,9 +9,9 @@ import (
 // CheckInvariants verifies the engine's internal consistency without
 // re-running the decomposition: the substrate's structural invariants,
 // the sizing of every edge-indexed state array, the agreement of the
-// maintained histogram and max κ with the live κ values, and the
-// cleanliness of the traversal scratch between public updates. It returns
-// the first violation found, or nil.
+// maintained histogram and max κ with the live κ values, κ = -1 in every
+// free edge slot, and the cleanliness of the traversal scratch between
+// public updates. It returns the first violation found, or nil.
 //
 // It is O(V + E log deg) — cheap enough that, under the trikdebug build
 // tag, every public mutating operation asserts it (see debugAssert),
@@ -63,21 +63,12 @@ func (en *Engine) CheckInvariants() error {
 			return fmt.Errorf("dynamic: edge %d left marked in-queue", eid)
 		}
 	}
-	// No live edge may carry the current pending-insert generation outside
-	// an epoch (ApplyBatchParallel retires the generation before returning).
-	// The marks exist once an epoch has run, and cover the edge slots of
-	// the last one; slots grown since carry no mark.
-	var pend error
-	p := &en.par
-	en.d.ForEachEdgeID(func(eid int32) bool {
-		if p.pendGen != 0 && int(eid) < len(p.pendMark) && p.pendMark[eid] == p.pendGen {
-			pend = fmt.Errorf("dynamic: edge %d still marked pending-insert outside an epoch", eid)
-			return false
+	// Every free edge slot holds κ = -1, which the epoch path reads as
+	// "absent" once it pre-inserts an edge into the slot.
+	for eid, k := range en.kappa[:c] {
+		if k != -1 && !en.d.EdgeLive(int32(eid)) { //trikcheck:checked eid < EdgeCap, which the substrate bounds to int32
+			return fmt.Errorf("dynamic: free edge slot %d holds κ = %d, want -1", eid, k)
 		}
-		return true
-	})
-	if pend != nil {
-		return pend
 	}
 
 	// Histogram and max κ must agree exactly with the live κ values.

@@ -11,13 +11,16 @@ import (
 // edge's two rows the first time the op enumerates it and serves the
 // stored (w, e1, e2) triples on every later visit in the same op.
 //
-// Listings are raw: the off-set and staged-liveness filters still run on
-// every visit (forEachActiveTriangleOn), so a listing is valid exactly as
-// long as the structure it was merged from. Structure is fixed for the
-// length of one op — the serial path adds an edge before its op and
-// removes one after, and a parallel epoch freezes G_max — so the memo
-// lives for one op: beginOff resets it, and nothing outside an open op
-// reads it.
+// A listing is valid as long as the structure it was merged from and,
+// on a staged context, the liveness of the edges in it. Both are fixed
+// for the length of one op: the serial path adds an edge before its op
+// and removes one after, a parallel epoch freezes G_max, and a staged op
+// changes only its own edge's liveness, before its first listing or
+// after its last visit. So a staged listing drops the triangles with an
+// absent co-edge and records both co-edges of every merged triangle in
+// the read set once, when it merges, and visits only apply the off-set
+// filter (forEachActiveTriangleOn). The memo lives for one op: beginOff
+// resets it, and nothing outside an open op reads it.
 //
 // The index is a small open-addressed table keyed by dense edge id and
 // stamped with a generation, so a reset is O(1) and memory follows the
@@ -150,6 +153,13 @@ func (c *applyCtx) listing(eid int32) []int32 {
 	}
 	start := len(m.arena)
 	d.ForEachTriangleEdgeD(u, v, func(w, e1, e2 int32) bool {
+		if c.staged {
+			c.readEdge(e1)
+			c.readEdge(e2)
+			if !c.live(e1) || !c.live(e2) {
+				return true
+			}
+		}
 		m.arena = append(m.arena, w, e1, e2)
 		return true
 	})
@@ -159,11 +169,16 @@ func (c *applyCtx) listing(eid int32) []int32 {
 }
 
 // checkListing panics unless tris is exactly what merging edge eid's rows
-// lists now (trikdebug builds check every memo hit with it).
+// lists now, through the same staged-liveness filter, which records
+// nothing. trikdebug builds check every memo hit with it, and so check
+// that no edge's liveness changed since the op listed it.
 func (c *applyCtx) checkListing(eid int32, tris []int32) {
 	u, v := c.en.d.EdgeEndpoints(eid)
 	i := 0
 	c.en.d.ForEachTriangleEdgeD(u, v, func(w, e1, e2 int32) bool {
+		if c.staged && (!c.live(e1) || !c.live(e2)) {
+			return true
+		}
 		if i+3 > len(tris) || tris[i] != w || tris[i+1] != e1 || tris[i+2] != e2 {
 			panic(fmt.Sprintf("trikdebug: memo listing of edge %d differs from its rows at entry %d", eid, i))
 		}

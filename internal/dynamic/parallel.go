@@ -22,16 +22,16 @@ import (
 // maintenance"):
 //
 //  1. resolve (serial): canonicalize the batch, drop no-ops, add every
-//     surviving insertion to the substrate marked pending — the structure
-//     is now G_max and frozen for the epoch, with pending edges masked so
-//     the active graph equals the pre-batch graph;
+//     surviving insertion to the substrate pending, at κ = -1 — the
+//     structure is now G_max and frozen for the epoch, and since κ = -1
+//     reads as absent the active graph equals the pre-batch graph;
 //  2. partition (serial): group ops into regions by triangle-ball overlap
 //     (partition.go);
 //  3. execute (parallel): workers claim regions off a shared cursor and
 //     run the ordinary insert/delete traversals against worker-local
 //     staged contexts — the substrate and every κ are read-only, all
-//     writes land in per-worker overlays, and every κ/liveness read is
-//     recorded;
+//     writes land in per-worker overlays, and every edge whose κ or
+//     liveness a region depends on is in its read set;
 //  4. merge (serial, at the epoch barrier): regions are validated in
 //     ascending region order — a region whose read set intersects an
 //     earlier-merged region's write set is demoted to the conflict
@@ -42,27 +42,23 @@ import (
 //     advances the version once if anything changed.
 //
 // Because partitioning, region execution, validation order and merge
-// order are all independent of scheduling, the final engine state is
-// byte-identical across worker counts.
+// order are all independent of scheduling, epochs at any worker count of
+// 2 or more leave identical engine state, dense slot numbering included.
+// The serial path reaches the same κ per edge, and so the same served
+// bodies, but numbers dense slots differently: it frees the deleted slots
+// before its insertions reuse them, while an epoch pre-inserts first.
 func (en *Engine) applyParallel(tr *trace.Trace, ops []EdgeOp, workers int) (kept, added, removed int) {
 	defer en.startStage(tr, stApplyParallel).End()
 	p := &en.par
 
-	// Resolve: canonicalize, drop no-ops, pre-insert and mask the
-	// insertions. After this the structure is G_max and frozen until
-	// cleanup; the pending marks keep the active graph at the pre-batch
-	// edge set, for which the maintained κ is a consistent assignment.
+	// Resolve: canonicalize, drop no-ops, pre-insert the insertions. After
+	// this the structure is G_max and frozen until cleanup. A pre-inserted
+	// edge takes a free slot, which holds κ = -1, so it reads as absent:
+	// the active graph stays the pre-batch edge set, for which the
+	// maintained κ is a consistent assignment.
 	sp := en.startStage(tr, stResolve)
 	buf := canonicalizeOps(ops, en.ser.sc.ops)
 	en.ser.sc.ops = buf
-	p.pendGen++
-	if p.pendGen == 0 {
-		// Generation wrapped: wipe stale marks so they cannot collide.
-		for i := range p.pendMark {
-			p.pendMark[i] = 0
-		}
-		p.pendGen = 1
-	}
 	resolved := p.resolved[:0]
 	for _, op := range buf {
 		if op.Del {
@@ -84,12 +80,6 @@ func (en *Engine) applyParallel(tr *trace.Trace, ops []EdgeOp, workers int) (kep
 	p.resolved = resolved
 	en.ensureEdgeCap()
 	en.ensureVertexCap()
-	p.pendMark = grow(p.pendMark, en.d.EdgeCap())
-	for _, r := range resolved {
-		if !r.del {
-			p.pendMark[r.eid] = p.pendGen
-		}
-	}
 	sp.End()
 	if len(resolved) == 0 {
 		return len(buf), 0, 0
@@ -205,9 +195,9 @@ func (en *Engine) applyParallel(tr *trace.Trace, ops []EdgeOp, workers int) (kep
 	sp.End()
 
 	// Cleanup: deletions leave the substrate (their removal transitions
-	// already fired at merge, while the edges were still live). Every
-	// pending mark was cleared by the merges, so no mask survives the
-	// epoch.
+	// already fired at merge, while the edges were still live, and left
+	// their slots at κ = -1). Every pending insertion was activated by a
+	// merge, so none is left at κ = -1.
 	for _, r := range resolved {
 		if r.del {
 			en.d.RemoveEdgeByID(r.eid)
@@ -237,21 +227,11 @@ type region struct {
 }
 
 // parScratch is the engine-owned workspace of ApplyBatchParallel, reused
-// across epochs: the pending-insert marks, the resolved op list, the
-// ball-stamping and union-find state of partitioning, the region
-// records, the per-worker staged contexts, and the merge-time
-// written-edge marks. An engine that never runs an epoch allocates none
-// of it.
+// across epochs: the resolved op list, the ball-stamping and union-find
+// state of partitioning, the region records, the per-worker staged
+// contexts, and the merge-time written-edge marks. An engine that never
+// runs an epoch allocates none of it.
 type parScratch struct {
-	// pendMark stamps edges that are structurally present but logically
-	// absent during an epoch: the resolve stage pre-inserts every batch
-	// insertion into the substrate, and pendMark[eid] == pendGen masks
-	// those edges from staged traversals until their owning region
-	// activates them. The resolve stage sizes it to the substrate's edge
-	// capacity; outside an epoch no edge carries the current generation,
-	// so serial paths never consult it.
-	pendMark  []uint32
-	pendGen   uint32
 	resolved  []resolvedOp
 	ufParent  []int32
 	regionID  []int32
@@ -303,23 +283,14 @@ func (c *applyCtx) execRegion(rg *region) {
 
 // mergeStaged lands one region's staged transitions on the engine, in the
 // region's first-write order, through the κ-transition funnel. The old
-// value of each transition is reconstructed from the engine: -1 for a
-// pending insertion of this batch (cleared here — the edge is active from
-// now on), the maintained κ otherwise; staged -1 values are completed
-// deletions. Transitions that net to no change are skipped, so observers
-// see exactly the per-edge net effect of the batch, as with ApplyBatch's
-// canonicalization.
+// value of each transition is the engine's κ: -1 for a pending insertion
+// of this batch, which is active from now on, the maintained κ
+// otherwise; staged -1 values are completed deletions. Transitions that
+// net to no change are skipped, so observers see exactly the per-edge
+// net effect of the batch, as with ApplyBatch's canonicalization.
 func (en *Engine) mergeStaged(writes, vals []int32) {
 	for i, e := range writes {
-		v := vals[i]
-		var old int32
-		if p := &en.par; p.pendMark[e] == p.pendGen {
-			old = -1
-			p.pendMark[e] = 0
-		} else {
-			old = en.kappa[e]
-		}
-		if old != v {
+		if old, v := en.kappa[e], vals[i]; old != v {
 			en.setKappa(e, old, v)
 		}
 	}

@@ -36,8 +36,8 @@ package dynamic
 //
 // Pruned ops skip ball enumeration and stamp only their own edge, so they
 // coalesce with a region only when that region's ball contains the edge
-// itself. Their execution still records every κ and liveness read, so the
-// barrier validation covers them like any other op.
+// itself. Their execution still records a read set, so the barrier
+// validation covers them like any other op.
 type resolvedOp struct {
 	eid int32
 	del bool

@@ -180,11 +180,17 @@ func (f flatCSR) validate(n, m int) error {
 
 // WriteMapped serializes an in-memory Static view to the named file in
 // the TKCG v2 mapped layout, writing a temp file and renaming it into
-// place so readers never observe a partial file. The result is
-// byte-identical to what BuildMappedFile produces for the same graph.
+// place so readers never observe a partial file. A view that is not
+// flat-numbered, such as one an engine froze after a deletion, is
+// renumbered through FreezeStatic first, so the result is byte-identical
+// to what BuildMappedFile produces for the same graph and OpenMapped
+// reads every view back.
 func WriteMapped(path string, s *Static) error {
 	if !hostLittleEndian {
 		return fmt.Errorf("graph: mapped TKCG files require a little-endian host")
+	}
+	if !s.flatNumbered() {
+		return WriteMapped(path, FreezeStatic(s.Materialize()))
 	}
 	n, m := s.NumVertices(), s.NumEdges()
 	lay := computeMappedLayout(n, m)

@@ -190,6 +190,21 @@ func (s *Static) flatten(f flatCSR) {
 	f.fillOriented()
 }
 
+// flatNumbered reports whether s numbers vertices by ascending id and
+// edges in lexicographic order of their endpoint positions, as the flat
+// builders do.
+func (s *Static) flatNumbered() bool {
+	pu, pv := int32(-1), int32(-1)
+	for i := 0; i < s.m; i++ {
+		u, v := s.Endpoints(int32(i)) //trikcheck:checked i < m, bounded to int32 at freeze
+		if u < pu || (u == pu && v <= pv) {
+			return false
+		}
+		pu, pv = u, v
+	}
+	return slices.IsSorted(s.OrigID) // ids are distinct, so sorted is ascending
+}
+
 // orientRows builds the out-rows of an n-vertex, m-edge view from its
 // row blocks: the rows are flattened and fillOriented filters them, as
 // the flat builders do.

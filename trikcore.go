@@ -401,7 +401,8 @@ func ConvertEdgeListToCSR(inPath, outPath string) (CSRBuildStats, error) {
 }
 
 // SaveCSRFile writes an in-memory frozen view to path in the TKCG v2
-// mapped layout.
+// mapped layout, numbered as FreezeGraph numbers the same graph, so
+// OpenMapped reads back any view, one an engine froze included.
 func SaveCSRFile(path string, s *StaticGraph) error { return graph.WriteMapped(path, s) }
 
 // OpenMapped maps a TKCG v2 CSR file as a read-only frozen view without
