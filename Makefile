@@ -57,11 +57,12 @@ debugrace:
 # Runs the headline benches (static decompose, engine churn through the
 # per-edge / batched / parallel paths, server mixed workload, parsing,
 # loading and setting up the Epinions stand-in, a fresh dual view on it,
-# the engine's freeze after serve- and ingest-shaped batches on it)
+# the engine's freeze after serve- and ingest-shaped batches on it, and
+# the heap an engine built on it retains)
 # and pipes the stream through cmd/benchjson, which echoes it and drops
 # a machine-readable BENCH_<stamp>.json with the host shape alongside.
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkFreezeStatic$$|BenchmarkDecomposeStatic$$|BenchmarkTriangleCountStatic$$|BenchmarkEngineChurn$$|BenchmarkServerMixedWorkload$$|BenchmarkDecomposeExternal$$|BenchmarkParseEdgeList$$|BenchmarkLoadEdgeList$$|BenchmarkSetupEpinions$$|BenchmarkDualViewAgainstEpinions$$|BenchmarkFreezeViewEpinions$$' -benchmem -benchtime 3s . | $(GO) run ./cmd/benchjson
+	$(GO) test -run '^$$' -bench 'BenchmarkFreezeStatic$$|BenchmarkDecomposeStatic$$|BenchmarkTriangleCountStatic$$|BenchmarkEngineChurn$$|BenchmarkServerMixedWorkload$$|BenchmarkDecomposeExternal$$|BenchmarkParseEdgeList$$|BenchmarkLoadEdgeList$$|BenchmarkSetupEpinions$$|BenchmarkDualViewAgainstEpinions$$|BenchmarkFreezeViewEpinions$$|BenchmarkNewEngineEpinions$$' -benchmem -benchtime 3s . | $(GO) run ./cmd/benchjson
 
 # End-to-end load benchmark: boots `trikcore serve` with the flight
 # recorder armed, drives an open-loop Zipf mixed workload at it with

@@ -19,6 +19,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -491,6 +492,35 @@ func BenchmarkFreezeViewEpinions(b *testing.B) {
 			en.FreezeView()
 		}
 	})
+}
+
+// BenchmarkNewEngineEpinions times NewEngine on the Epinions stand-in
+// and reports the heap the engine retains as retained_MB: HeapAlloc
+// after a GC with the engine live, less HeapAlloc after a GC before it
+// was built, with the graph held on both sides (MB = 10^6 bytes).
+func BenchmarkNewEngineEpinions(b *testing.B) {
+	if testing.Short() {
+		b.Skip("405k-edge stand-in; skipped under -short")
+	}
+	g, _ := epinionsBulk()
+	var retained int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		b.StartTimer()
+		en := dynamic.NewEngine(g)
+		b.StopTimer()
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		runtime.KeepAlive(en)
+		retained = int64(after.HeapAlloc) - int64(before.HeapAlloc)
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(retained)/1e6, "retained_MB")
 }
 
 var (

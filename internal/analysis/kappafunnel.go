@@ -9,14 +9,17 @@ import (
 // transition (the funnel itself, maintaining hist and maxK), setKappa
 // (the κ-array write paired with its transition), the engine
 // constructors (NewEngine delegates to NewEngineFromDecomposition, which
-// seeds κ and hist from the static decomposition) and ensureEdgeCap
-// (growing the κ array for new slots).
+// seeds κ and hist from the static decomposition), ensureEdgeCap
+// (growing the κ array for new slots) and moveEdge (carrying κ to the
+// id the batch-end compaction moves an edge to: a slot move changes no
+// κ value, so it owes no histogram count or observer event).
 var kappaFunnelAllowed = map[string]bool{
 	"transition":                 true,
 	"setKappa":                   true,
 	"NewEngine":                  true,
 	"NewEngineFromDecomposition": true,
 	"ensureEdgeCap":              true,
+	"moveEdge":                   true,
 }
 
 // kappaStagingAllowed are the functions permitted to write the staged-κ
@@ -75,7 +78,7 @@ func runKappaFunnel(p *Pass) {
 		}
 	}
 	collect("Engine", []string{"kappa", "hist", "maxK"}, kappaFunnelAllowed,
-		"outside the κ funnel (allowed: transition, setKappa, constructors, ensureEdgeCap)")
+		"outside the κ funnel (allowed: transition, setKappa, constructors, ensureEdgeCap, moveEdge)")
 	collect("applyCtx", []string{"sKappa", "sMark"}, kappaStagingAllowed,
 		"outside the staging funnel (allowed: stageKappa, growEdges, execRegion)")
 	if len(guarded) == 0 {

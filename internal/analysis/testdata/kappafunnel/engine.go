@@ -22,6 +22,10 @@ func (en *Engine) ensureEdgeCap(n int) {
 	}
 }
 
+func (en *Engine) moveEdge(from, to int32) {
+	en.kappa[to], en.kappa[from] = en.kappa[from], -1 // ok: a slot move changes no κ value
+}
+
 func (en *Engine) transition(eid, old, new int32) {
 	if old >= 0 {
 		en.hist[old]-- // ok: the funnel itself

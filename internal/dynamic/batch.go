@@ -73,11 +73,14 @@ func canonicalizeOps(ops []EdgeOp, buf []EdgeOp) []EdgeOp {
 //
 // workers > 1 runs κ maintenance as one epoch fanned out over that many
 // goroutines (parallel.go); the result is identical at any worker count.
-// A flight-recorder trace carried by ctx receives one span per stage,
-// timed by the same call that feeds the stage histograms. The version
-// advances once iff the batch changed the graph, and BatchChanges logs
-// exactly this batch's transitions. It panics on self-loop operations,
-// with the engine untouched.
+// Either path leaves the deleted edges' ids as holes, which the batch
+// ends by compacting (graph.Dense.CompactEdges, moveEdge), so dense ids
+// are stable inside a batch and packed between batches: the next view's
+// edge ids. A flight-recorder trace carried by ctx receives one span per
+// stage, timed by the same call that feeds the stage histograms. The
+// version advances once iff the batch changed the graph, and
+// BatchChanges logs exactly this batch's transitions. It panics on
+// self-loop operations, with the engine untouched.
 func (en *Engine) ApplyBatchContext(ctx context.Context, ops []EdgeOp, workers int) (added, removed int) {
 	en.changes = en.changes[:0]
 	if len(ops) == 0 {
@@ -94,6 +97,7 @@ func (en *Engine) ApplyBatchContext(ctx context.Context, ops []EdgeOp, workers i
 	} else {
 		kept, added, removed = en.applySerial(tr, ops)
 	}
+	en.d.CompactEdges(en.moveEdge)
 	// One version step per effective batch: a batch whose ops all cancel
 	// or no-op leaves the version (and thus published snapshots) alone.
 	if added+removed > 0 {

@@ -47,11 +47,12 @@ import (
 // concurrent use.
 type Engine struct {
 	d *graph.Dense
-	// kappa[eid] is κ of live edge eid and -1 in every free edge slot:
-	// a deletion's last transition drives κ to -1 before the slot is
-	// freed, and ensureEdgeCap fills new slots with -1. So an edge the
-	// epoch path pre-inserts reads as absent until its region activates
-	// it (parallel.go).
+	// kappa[eid] is κ of live edge eid and -1 everywhere else: a
+	// deletion's last transition drives κ to -1 before the edge leaves,
+	// moveEdge leaves -1 behind, and ensureEdgeCap fills new slots with
+	// -1. So between batches every slot past the edges holds -1, and an
+	// edge the epoch path pre-inserts reads as absent until its region
+	// activates it (parallel.go).
 	kappa []int32
 	// hist[k] counts live edges with κ=k; maxK is the largest k with
 	// hist[k] > 0. Both are maintained through every transition, making
@@ -76,16 +77,20 @@ type Engine struct {
 	// observers can read its endpoints). TrackedEngine uses it to maintain
 	// explicit core membership.
 	onKappaChange func(eid int32, old, new int32)
+	// onMove, when set, observes every edge the batch-end compaction
+	// moves from one dense id to another (moveEdge). TrackedEngine moves
+	// the edge's witness list there.
+	onMove func(from, to int32)
 	// onUpdate, when set, runs at the end of every batch, after the last
-	// transition and before the invariant check. TrackedEngine repairs
-	// the membership that onKappaChange marked dirty there.
+	// transition and the compaction and before the invariant check.
+	// TrackedEngine repairs the membership that onKappaChange marked
+	// dirty there.
 	onUpdate func()
 
 	// changes logs every transition of the current batch in firing
-	// order, keyed by external edge: within one serial batch an insertion
-	// can reuse the dense slot a deletion just freed, so dense ids cannot
-	// key it. It is reset at the start of every batch, so it never grows
-	// past one batch's transitions (see BatchChanges).
+	// order, keyed by external edge (see BatchChanges). It is reset at
+	// the start of every batch, so it never grows past one batch's
+	// transitions.
 	changes []KappaChange
 
 	// view and viewKappa are the last FreezeView result, which the next
@@ -151,7 +156,7 @@ func NewEngine(g *graph.Graph) *Engine {
 }
 
 // ensureEdgeCap grows all edge-indexed state to the dense edge capacity;
-// new κ slots hold -1, as every free slot does.
+// new κ slots hold -1, as every slot without an edge does.
 func (en *Engine) ensureEdgeCap() {
 	c := en.d.EdgeCap()
 	for len(en.kappa) < c {
@@ -203,6 +208,18 @@ func (en *Engine) transition(eid, old, new int32) {
 	}
 }
 
+// moveEdge carries the state of the edge at dense id from to id to when
+// the batch-end compaction (graph.Dense.CompactEdges) moves it: κ moves
+// and -1 stays behind. A slot move changes no κ value, so it bypasses
+// the transition funnel: no histogram count, change-log entry or
+// observer event.
+func (en *Engine) moveEdge(from, to int32) {
+	en.kappa[to], en.kappa[from] = en.kappa[from], -1
+	if en.onMove != nil {
+		en.onMove(from, to)
+	}
+}
+
 // KappaChange is one κ transition of edge E: From and To are its κ
 // before and after, with -1 meaning the edge is absent (From = -1 for an
 // inserted edge, To = -1 for a deleted one).
@@ -212,10 +229,11 @@ type KappaChange struct {
 }
 
 // BatchChanges returns the raw transition log of the most recent batch,
-// in firing order; one edge may appear several times, each entry's From
-// equal to the previous entry's To. NetChanges folds it into the batch's
-// net effect. The slice aliases engine storage that the next batch
-// overwrites; copy it to keep it.
+// in firing order, keyed by external edge since the compaction that ends
+// the batch renumbers dense ids; one edge may appear several times, each
+// entry's From equal to the previous entry's To. NetChanges folds it
+// into the batch's net effect. The slice aliases engine storage that the
+// next batch overwrites; copy it to keep it.
 func (en *Engine) BatchChanges() []KappaChange { return en.changes }
 
 // NetChanges folds a transition log into one entry per edge, the first
@@ -267,33 +285,31 @@ func (en *Engine) Version() uint64 { return en.version }
 func (en *Engine) bumpVersion() { en.version++ }
 
 // FreezeView freezes the engine's current graph into an immutable Static
-// CSR view plus the matching κ-by-static-edge-id array, with no
-// intermediate Graph and no re-decomposition. Dense.Freeze builds the
+// CSR view plus the matching κ-by-edge-id array, with no intermediate
+// Graph and no re-decomposition. The view numbers edges by the engine's
+// dense ids, which every batch leaves packed. Dense.Freeze builds the
 // view from the previous one, re-freezing only what changed; κ is a
 // fresh copy of the previous view's κ patched at the ids whose edge or
-// κ changed (transition marks every κ change), or projected whole when
-// the view was built from scratch. With nothing changed since the last
-// call it returns the same view and κ. The result shares nothing
-// mutable with the engine; readers may use it concurrently with further
-// engine mutation.
+// κ changed (transition marks every κ change), or copied whole when the
+// view was built from scratch. With nothing changed since the last call
+// it returns the same view and κ. The result shares nothing mutable
+// with the engine; readers may use it concurrently with further engine
+// mutation.
 func (en *Engine) FreezeView() (*graph.Static, []int32) {
 	s, ids := en.d.Freeze()
 	if s == en.view {
 		return s, en.viewKappa
 	}
+	m := s.NumEdges()
 	var kappa []int32
 	if ids.All {
-		kappa = make([]int32, s.NumEdges())
-		for i, deid := range ids.EdgeOf {
-			kappa[i] = en.kappa[deid]
-		}
+		kappa = append([]int32(nil), en.kappa[:m]...)
 	} else {
 		// Appending the kept prefix allocates without zeroing it first.
-		m := s.NumEdges()
 		kappa = append([]int32(nil), en.viewKappa[:min(m, len(en.viewKappa))]...)
 		kappa = append(kappa, make([]int32, m-len(kappa))...)
 		for _, i := range ids.Changed {
-			kappa[i] = en.kappa[ids.EdgeOf[i]]
+			kappa[i] = en.kappa[i]
 		}
 	}
 	en.view, en.viewKappa = s, kappa
@@ -401,7 +417,8 @@ func (en *Engine) insertEdgeCanon(u, v graph.Vertex) bool {
 }
 
 // deleteEdgeCanon removes one edge of a canonical batch on the serial
-// context, reporting whether it existed.
+// context, reporting whether it existed. Its id stays a hole until the
+// batch ends.
 func (en *Engine) deleteEdgeCanon(u, v graph.Vertex) bool {
 	eid := en.d.EdgeIDV(u, v)
 	if eid < 0 {
@@ -417,7 +434,7 @@ func (en *Engine) deleteEdgeCanon(u, v graph.Vertex) bool {
 // Query paths between updates use it. No op is open then, so every
 // combinatorial triangle is active and the rows are merged directly: the
 // serial context's memo describes its last op's structure, which a later
-// deletion or slot reuse may have changed.
+// deletion or the batch-end compaction may have changed.
 func (en *Engine) forEachActiveTriangleOn(eid int32, fn func(w, e1, e2 int32) bool) {
 	u, v := en.d.EdgeEndpoints(eid)
 	en.d.ForEachTriangleEdgeD(u, v, fn)

@@ -8,10 +8,11 @@ import (
 
 // CheckInvariants verifies the engine's internal consistency without
 // re-running the decomposition: the substrate's structural invariants,
-// the sizing of every edge-indexed state array, the agreement of the
-// maintained histogram and max κ with the live κ values, κ = -1 in every
-// free edge slot, and the cleanliness of the traversal scratch between
-// public updates. It returns the first violation found, or nil.
+// packed edge ids, the sizing of every edge-indexed state array, the
+// agreement of the maintained histogram and max κ with the live κ
+// values, κ = -1 in every slot past the edges, and the cleanliness of
+// the traversal scratch between public updates. It returns the first
+// violation found, or nil.
 //
 // It is O(V + E log deg) — cheap enough that, under the trikdebug build
 // tag, every public mutating operation asserts it (see debugAssert),
@@ -23,6 +24,9 @@ func (en *Engine) CheckInvariants() error {
 		return fmt.Errorf("dynamic: substrate: %w", err)
 	}
 	c := en.d.EdgeCap()
+	if c != en.d.NumEdges() {
+		return fmt.Errorf("dynamic: edge ids not packed between batches: %d ids, %d edges", c, en.d.NumEdges())
+	}
 	if len(en.kappa) < c {
 		return fmt.Errorf("dynamic: kappa tracks %d edge slots, substrate has %d", len(en.kappa), c)
 	}
@@ -63,11 +67,11 @@ func (en *Engine) CheckInvariants() error {
 			return fmt.Errorf("dynamic: edge %d left marked in-queue", eid)
 		}
 	}
-	// Every free edge slot holds κ = -1, which the epoch path reads as
-	// "absent" once it pre-inserts an edge into the slot.
-	for eid, k := range en.kappa[:c] {
-		if k != -1 && !en.d.EdgeLive(int32(eid)) { //trikcheck:checked eid < EdgeCap, which the substrate bounds to int32
-			return fmt.Errorf("dynamic: free edge slot %d holds κ = %d, want -1", eid, k)
+	// Every slot past the edges holds κ = -1, which the epoch path reads
+	// as "absent" once it pre-inserts an edge there.
+	for i, k := range en.kappa[c:] {
+		if k != -1 {
+			return fmt.Errorf("dynamic: slot %d past the %d edges holds κ = %d, want -1", c+i, c, k)
 		}
 	}
 
@@ -129,19 +133,17 @@ func (en *Engine) debugAssert() {
 }
 
 // checkView verifies a FreezeView result against the engine's current
-// state: the view has the engine's edges and every κ entry equals the
-// engine's κ of that edge, looked up by external edge so it holds
-// however the view numbers its edges. The view's structure is checked
-// by graph.DiffViews.
+// state: the view's edge i is the engine's edge i, and κ[i] is its κ.
+// The view's structure is checked by graph.DiffViews.
 func (en *Engine) checkView(s *graph.Static, kappa []int32) error {
 	if s.NumEdges() != en.d.NumEdges() || len(kappa) != s.NumEdges() {
 		return fmt.Errorf("dynamic: view has %d edges and %d κ entries, engine has %d edges",
 			s.NumEdges(), len(kappa), en.d.NumEdges())
 	}
 	for i, k := range kappa {
-		e := s.EdgeAt(int32(i)) //trikcheck:checked i < m, which the view bounds to int32
-		if want, ok := en.Kappa(e); !ok || want != k {
-			return fmt.Errorf("dynamic: view κ(%v) = %d, engine has %d (present %v)", e, k, want, ok)
+		eid := int32(i) //trikcheck:checked i < m, which the view bounds to int32
+		if e, want := s.EdgeAt(eid), en.d.EdgeAt(eid); e != want || k != en.kappa[eid] {
+			return fmt.Errorf("dynamic: view edge %d is %v with κ %d, engine's is %v with κ %d", i, e, k, want, en.kappa[eid])
 		}
 	}
 	return nil

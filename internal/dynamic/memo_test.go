@@ -29,13 +29,13 @@ func TestTriangleListingsPerVisit(t *testing.T) {
 	}
 }
 
-// TestQueriesAfterSlotReuse interleaves serial deletion batches with
-// parallel insertion batches, which reuse the freed dense edge slots, and
-// after every batch compares the engine's κ queries on every edge with a
-// fresh engine over the same edges. The queries run between ops, when no
-// op's triangle memo describes the current structure: a memo served to
-// them lists a deleted edge's triangles under the id of the edge that
-// took its slot.
+// TestQueriesAfterSlotReuse interleaves serial deletion batches, whose
+// compaction moves other edges into the deleted edges' ids, with
+// parallel insertion batches, and after every batch compares the
+// engine's κ queries on every edge with a fresh engine over the same
+// edges. The queries run between ops, when no op's triangle memo
+// describes the current structure: a memo served to them lists a
+// deleted edge's triangles under the id of the edge that took its slot.
 func TestQueriesAfterSlotReuse(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	const n = 70

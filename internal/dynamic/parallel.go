@@ -39,23 +39,24 @@ import (
 //     κ-transition funnel; then the suffix re-executes serially against
 //     the merged state and lands last;
 //  5. cleanup (serial): deleted edges leave the substrate; the caller
-//     advances the version once if anything changed.
+//     compacts their ids and advances the version once if anything
+//     changed.
 //
 // Because partitioning, region execution, validation order and merge
 // order are all independent of scheduling, epochs at any worker count of
-// 2 or more leave identical engine state, dense slot numbering included.
-// The serial path reaches the same κ per edge, and so the same served
-// bodies, but numbers dense slots differently: it frees the deleted slots
-// before its insertions reuse them, while an epoch pre-inserts first.
+// 2 or more leave identical engine state. So does the serial path, dense
+// numbering included: both append the insertions in canonical order
+// past the end, leave the same holes where the deletions were, and the
+// batch-end compaction fills them by one rule.
 func (en *Engine) applyParallel(tr *trace.Trace, ops []EdgeOp, workers int) (kept, added, removed int) {
 	defer en.startStage(tr, stApplyParallel).End()
 	p := &en.par
 
 	// Resolve: canonicalize, drop no-ops, pre-insert the insertions. After
 	// this the structure is G_max and frozen until cleanup. A pre-inserted
-	// edge takes a free slot, which holds κ = -1, so it reads as absent:
-	// the active graph stays the pre-batch edge set, for which the
-	// maintained κ is a consistent assignment.
+	// edge takes the next id past the end, which holds κ = -1, so it reads
+	// as absent: the active graph stays the pre-batch edge set, for which
+	// the maintained κ is a consistent assignment.
 	sp := en.startStage(tr, stResolve)
 	buf := canonicalizeOps(ops, en.ser.sc.ops)
 	en.ser.sc.ops = buf
@@ -196,8 +197,8 @@ func (en *Engine) applyParallel(tr *trace.Trace, ops []EdgeOp, workers int) (kep
 
 	// Cleanup: deletions leave the substrate (their removal transitions
 	// already fired at merge, while the edges were still live, and left
-	// their slots at κ = -1). Every pending insertion was activated by a
-	// merge, so none is left at κ = -1.
+	// their ids at κ = -1) as holes the caller compacts. Every pending
+	// insertion was activated by a merge, so none is left at κ = -1.
 	for _, r := range resolved {
 		if r.del {
 			en.d.RemoveEdgeByID(r.eid)

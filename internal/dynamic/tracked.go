@@ -36,7 +36,7 @@ import (
 type TrackedEngine struct {
 	*Engine
 	// cores[eid] holds the witness of live edge eid as sorted dense third
-	// vertices; free edge slots keep empty lists.
+	// vertices; slots without an edge keep empty lists.
 	cores [][]int32
 	// dirty lists edges needing repair during one batch, with dirtyMark
 	// deduplicating by edge id.
@@ -52,6 +52,7 @@ type TrackedEngine struct {
 func NewTrackedEngine(g *graph.Graph) *TrackedEngine {
 	te := &TrackedEngine{Engine: NewEngine(g)}
 	te.Engine.onKappaChange = te.observe
+	te.Engine.onMove = te.move
 	te.Engine.onUpdate = te.repair
 	te.ensureCap()
 	te.d.ForEachEdgeID(func(eid int32) bool {
@@ -89,6 +90,16 @@ func (te *TrackedEngine) observe(eid, old, new int32) {
 		// through this edge may now violate Theorem 1.
 		te.markDependents(eid)
 	}
+}
+
+// move carries the witness list of an edge the batch-end compaction
+// moves from dense id from to id to. The lists hold third vertices, not
+// edge ids, so they move unchanged. The hole at to held an edge this
+// batch deleted, which observe marked dirty, so repair rebuilds the
+// moved edge's list there in any case; moving it keeps the slot past
+// the edges empty.
+func (te *TrackedEngine) move(from, to int32) {
+	te.cores[to], te.cores[from] = te.cores[from], te.cores[to][:0]
 }
 
 // markDependents marks edges whose stored witness contains a triangle

@@ -84,8 +84,8 @@ func TestEngineVersionSemantics(t *testing.T) {
 // static edge id, matches the engine's per-edge κ.
 func TestFreezeViewProjectsKappa(t *testing.T) {
 	en := NewEngine(graph.FromPairs(1, 2, 2, 3, 3, 1, 3, 4))
-	// Churn enough to punch holes in the dense free lists: grow a clique,
-	// then tear part of it down.
+	// Churn enough to move edges into the holes deletions leave: grow a
+	// clique, then tear part of it down.
 	for u := graph.Vertex(1); u <= 6; u++ {
 		for v := u + 1; v <= 6; v++ {
 			en.InsertEdge(u, v)

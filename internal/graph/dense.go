@@ -9,8 +9,8 @@ import (
 
 // Dense is the mutable, index-oriented counterpart of Static: an
 // undirected simple graph whose vertices are interned to dense int32 ids
-// and whose edges carry dense int32 ids handed out by an allocator with a
-// free list. It is the substrate the dynamic maintenance engine runs on —
+// and whose edges carry packed int32 ids. It is the substrate the dynamic
+// maintenance engine runs on —
 // per-edge algorithm state (κ, traversal marks, witness sets) lives in
 // flat slices indexed by edge id instead of maps keyed by Edge values —
 // and the storage of Graph, which hides the ids.
@@ -28,10 +28,14 @@ import (
 // no table at all — EdgeIDD binary-searches the smaller endpoint row, and
 // EdgeAt reads the endpoint arrays.
 //
-// Dense slots are recycled: removing an edge pushes its id on a free list
-// and the next insertion pops it, so edge ids stay packed in [0, EdgeCap)
-// and flat per-edge state never needs compaction. Vertex slots recycle the
-// same way once a vertex is removed.
+// Edge ids are packed: an insertion takes the next id past the end, a
+// removal leaves a hole, and CompactEdges fills the holes from the top,
+// so after it the ids are exactly [0, NumEdges) and a frozen view numbers
+// its edges by them. Callers that keep per-edge state compact once they
+// no longer hold ids (the engine at the end of every batch), carrying
+// that state along through CompactEdges' move callback. Vertex slots are
+// recycled: removing a vertex pushes its slot on a free list and the
+// next Intern pops it.
 //
 // Dense is not safe for concurrent mutation; concurrent reads are safe.
 type Dense struct {
@@ -39,9 +43,9 @@ type Dense struct {
 	orig  []Vertex         // dense id → external id (stale on free slots)
 	vlive []bool           // vertex slot liveness
 	rows  [][]int64        // per-vertex sorted packed (nbr<<32 | eid)
-	edgeU []int32          // dense endpoints of edge i, edgeU < edgeV; -1 = free slot
+	edgeU []int32          // dense endpoints of edge i, edgeU < edgeV; -1 = hole
 	edgeV []int32
-	freeE []int32 // freed edge ids, reused LIFO
+	holes []int32 // edge ids removed since the last CompactEdges
 	freeV []int32 // freed vertex slots, reused LIFO
 	nv    int     // live vertices
 	ne    int     // live edges
@@ -124,7 +128,7 @@ func (d *Dense) clone() Dense {
 		rows:   make([][]int64, len(d.rows)),
 		edgeU:  slices.Clone(d.edgeU),
 		edgeV:  slices.Clone(d.edgeV),
-		freeE:  slices.Clone(d.freeE),
+		holes:  slices.Clone(d.holes),
 		freeV:  slices.Clone(d.freeV),
 		nv:     d.nv,
 		ne:     d.ne,
@@ -150,16 +154,16 @@ func (d *Dense) VertexCap() int { return len(d.orig) }
 
 // SizeBytes estimates the heap footprint of the substrate: the packed
 // adjacency rows (at capacity, since grown rows retain their backing),
-// the flat edge/vertex arrays, free lists and intern table. It is O(1):
-// the row capacities are a running total.
+// the flat edge/vertex arrays, hole and free lists and intern table. It
+// is O(1): the row capacities are a running total.
 func (d *Dense) SizeBytes() int64 {
 	return int64(len(d.orig))*8 + int64(len(d.vlive)) +
-		int64(len(d.edgeU)+len(d.edgeV)+len(d.freeE)+len(d.freeV))*4 +
+		int64(len(d.edgeU)+len(d.edgeV)+len(d.holes)+len(d.freeV))*4 +
 		int64(len(d.pos))*16 + int64(len(d.rows))*24 + d.rowCap*8
 }
 
-// EdgeCap returns the number of dense edge slots ever allocated;
-// per-edge flat state should be sized to it.
+// EdgeCap returns the end of the edge ids: NumEdges plus the holes
+// since the last CompactEdges. Per-edge flat state should be sized to it.
 func (d *Dense) EdgeCap() int { return len(d.edgeU) }
 
 // DenseOf returns the dense id of a live external vertex.
@@ -181,16 +185,6 @@ func (d *Dense) HasVertex(v Vertex) bool {
 // recycling) a slot if v is not present. The boolean reports whether the
 // vertex was newly added.
 func (d *Dense) Intern(v Vertex) (int32, bool) {
-	p, added := d.intern(v)
-	if added {
-		d.debugAssert()
-	}
-	return p, added
-}
-
-// intern is Intern without the trikdebug assertion; Graph mutates
-// through it and the other unexported bodies below.
-func (d *Dense) intern(v Vertex) (int32, bool) {
 	if p, ok := d.pos[v]; ok {
 		return p, false
 	}
@@ -220,14 +214,6 @@ func (d *Dense) intern(v Vertex) (int32, bool) {
 // isolated (all incident edges already removed); it panics otherwise so a
 // dangling row can never corrupt later merges.
 func (d *Dense) RemoveVertexV(v Vertex) bool {
-	if !d.removeVertex(v) {
-		return false
-	}
-	d.debugAssert()
-	return true
-}
-
-func (d *Dense) removeVertex(v Vertex) bool {
 	p, ok := d.pos[v]
 	if !ok {
 		return false
@@ -275,42 +261,25 @@ func (d *Dense) insertAt(u int32, at int, entry int64) {
 }
 
 // AddEdgeV inserts the undirected edge {u, v} over external ids, interning
-// endpoints as needed, and returns the edge's dense id. If the edge
-// already exists its current id is returned with added = false. It panics
-// on self-loops.
+// endpoints as needed, and returns the edge's dense id: the next id past
+// the end. If the edge already exists its current id is returned with
+// added = false. It panics on self-loops.
 func (d *Dense) AddEdgeV(u, v Vertex) (int32, bool) {
 	if u == v {
 		panic(fmt.Sprintf("graph: self-loop on vertex %d", u))
 	}
 	du, _ := d.Intern(u)
 	dv, _ := d.Intern(v)
-	eid, added := d.addEdge(du, dv)
-	if added {
-		d.debugAssert()
-	}
-	return eid, added
-}
-
-// addEdge inserts the edge between distinct live slots du and dv unless
-// it exists, returning its id and whether it was added.
-func (d *Dense) addEdge(du, dv int32) (int32, bool) {
 	atU, ok := packedSearch(d.rows[du], dv)
 	if ok {
 		return int32(uint32(d.rows[du][atU])), false
 	}
-	var eid int32
-	if n := len(d.freeE); n > 0 {
-		eid = d.freeE[n-1]
-		d.freeE = d.freeE[:n-1]
-	} else {
-		if len(d.edgeU) >= math.MaxInt32 {
-			panic("graph: dense edge capacity exceeds int32")
-		}
-		eid = int32(len(d.edgeU)) //trikcheck:checked capacity panic above bounds len to int32
-		d.edgeU = append(d.edgeU, 0)
-		d.edgeV = append(d.edgeV, 0)
+	if len(d.edgeU) >= math.MaxInt32 {
+		panic("graph: dense edge capacity exceeds int32")
 	}
-	d.edgeU[eid], d.edgeV[eid] = min(du, dv), max(du, dv)
+	eid := int32(len(d.edgeU)) //trikcheck:checked capacity panic above bounds len to int32
+	d.edgeU = append(d.edgeU, min(du, dv))
+	d.edgeV = append(d.edgeV, max(du, dv))
 	d.insertAt(du, atU, packLive(dv, eid))
 	atV, _ := packedSearch(d.rows[dv], du)
 	d.insertAt(dv, atV, packLive(du, eid))
@@ -319,24 +288,59 @@ func (d *Dense) addEdge(du, dv int32) (int32, bool) {
 	return eid, true
 }
 
-// RemoveEdgeByID deletes live edge eid from both endpoint rows and
-// recycles its id.
+// RemoveEdgeByID deletes live edge eid from both endpoint rows, leaving
+// a hole at eid until the next CompactEdges.
 func (d *Dense) RemoveEdgeByID(eid int32) {
-	d.removeEdge(eid)
-	d.debugAssert()
-}
-
-func (d *Dense) removeEdge(eid int32) {
 	u, v := d.edgeU[eid], d.edgeV[eid]
 	if u < 0 {
-		panic(fmt.Sprintf("graph: RemoveEdgeByID(%d) on a free edge slot", eid))
+		panic(fmt.Sprintf("graph: RemoveEdgeByID(%d) on a hole", eid))
 	}
 	d.removeFromRow(u, v)
 	d.removeFromRow(v, u)
 	d.edgeU[eid], d.edgeV[eid] = -1, -1
-	d.freeE = append(d.freeE, eid)
+	d.holes = append(d.holes, eid)
 	d.fz.markEdge(eid)
 	d.ne--
+}
+
+// CompactEdges packs the edge ids into [0, NumEdges): it fills each
+// hole, lowest first, with the edge of the highest id, rewriting that
+// edge's two row entries, and drops the holes left at the top. For each
+// edge it moves it calls move(from, to), if move is not nil, so a caller
+// can carry its per-edge state to the new id. The moved edge's rows and
+// new id are marked for the next Freeze. Every engine batch and every
+// Graph removal ends here, so under the trikdebug build tag this is
+// where the substrate asserts CheckInvariants.
+func (d *Dense) CompactEdges(move func(from, to int32)) {
+	slices.Sort(d.holes)
+	end := int32(len(d.edgeU)) //trikcheck:checked AddEdgeV's capacity panic bounds len to int32
+	for _, h := range d.holes {
+		for end > h && d.edgeU[end-1] < 0 {
+			end--
+		}
+		if h >= end {
+			break // this hole and every later one lie past the last edge
+		}
+		end--
+		u, v := d.edgeU[end], d.edgeV[end]
+		d.setEdgeID(u, v, h)
+		d.setEdgeID(v, u, h)
+		d.edgeU[h], d.edgeV[h] = u, v
+		d.fz.markEdge(h)
+		if move != nil {
+			move(end, h)
+		}
+	}
+	d.edgeU, d.edgeV = d.edgeU[:end], d.edgeV[:end]
+	d.holes = d.holes[:0]
+	d.debugAssert()
+}
+
+// setEdgeID rewrites the edge id of neighbor w's entry in u's row.
+func (d *Dense) setEdgeID(u, w, eid int32) {
+	at, _ := packedSearch(d.rows[u], w)
+	d.rows[u][at] = packLive(w, eid)
+	d.fz.markRow(u)
 }
 
 func (d *Dense) removeFromRow(u, w int32) {

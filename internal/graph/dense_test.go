@@ -84,8 +84,10 @@ func TestDenseRandomOpsMirrorsGraph(t *testing.T) {
 	checkGraph(t, "Materialize", d.Materialize(), m)
 }
 
-// TestDenseEdgeIDReuse checks the allocator recycles freed ids LIFO and
-// keeps ids packed below EdgeCap.
+// TestDenseEdgeIDReuse checks that ids are packed by compaction, not
+// reuse: an insertion after a removal takes the next id past the end,
+// and CompactEdges moves the top edge into the hole, reporting the move
+// once and leaving EdgeCap equal to the edge count.
 func TestDenseEdgeIDReuse(t *testing.T) {
 	d := NewDense()
 	e0, _ := d.AddEdgeV(1, 2)
@@ -96,17 +98,28 @@ func TestDenseEdgeIDReuse(t *testing.T) {
 	}
 	d.RemoveEdgeByID(e1)
 	if d.EdgeLive(e1) {
-		t.Fatal("freed id still live")
+		t.Fatal("removed id still live")
 	}
 	r, added := d.AddEdgeV(5, 6)
-	if !added || r != e1 {
-		t.Fatalf("recycled id = %d (added=%v), want %d", r, added, e1)
+	if !added || r != 3 {
+		t.Fatalf("new edge id = %d (added=%v), want 3", r, added)
+	}
+	var moves [][2]int32
+	d.CompactEdges(func(from, to int32) { moves = append(moves, [2]int32{from, to}) })
+	if !slices.Equal(moves, [][2]int32{{3, 1}}) {
+		t.Fatalf("moves = %v, want [[3 1]]", moves)
+	}
+	if got := d.EdgeIDV(5, 6); got != 1 {
+		t.Fatalf("EdgeIDV(5, 6) = %d after compaction, want 1", got)
+	}
+	if got := d.EdgeAt(1); got != NewEdge(5, 6) {
+		t.Fatalf("EdgeAt(1) = %v, want 5-6", got)
 	}
 	if d.EdgeCap() != 3 {
 		t.Fatalf("EdgeCap = %d, want 3", d.EdgeCap())
 	}
-	if got := d.EdgeAt(r); got != NewEdge(5, 6) {
-		t.Fatalf("EdgeAt(recycled) = %v", got)
+	if err := d.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -221,7 +234,7 @@ func TestDenseSkewedTriangleMerge(t *testing.T) {
 // the row capacities summed by walking every row.
 func sizeBytesByWalk(d *Dense) int64 {
 	n := int64(len(d.orig))*8 + int64(len(d.vlive)) +
-		int64(len(d.edgeU)+len(d.edgeV)+len(d.freeE)+len(d.freeV))*4 +
+		int64(len(d.edgeU)+len(d.edgeV)+len(d.holes)+len(d.freeV))*4 +
 		int64(len(d.pos))*16 + int64(len(d.rows))*24
 	for _, row := range d.rows {
 		n += int64(cap(row)) * 8
@@ -261,6 +274,7 @@ func TestDenseSizeBytesMatchesWalk(t *testing.T) {
 			interned += d.NumVertices() - before
 		}
 		if step%97 == 0 {
+			d.CompactEdges(nil)
 			d.Freeze()
 		}
 		if got, want := d.SizeBytes(), sizeBytesByWalk(d); got != want {

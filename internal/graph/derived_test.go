@@ -24,10 +24,9 @@ import (
 // is its neighbors ranked above it by (degree, position); its triangle
 // count is that of FreezeStatic over the same edges; and its WriteMapped
 // bytes equal those of FreezeStatic over the same edges and read back
-// through OpenMapped as the same graph (DiffViews). The serial path
-// numbers dense slots differently from the epoch path, but epochs at 2
-// and 4 workers must number them alike: their views hold the same vertex
-// at each position and the same endpoints at each edge id.
+// through OpenMapped as the same graph (DiffViews). All three must
+// number their views alike: the same vertex at each position and the
+// same endpoints at each edge id.
 func TestEngineViewsOrientedHalf(t *testing.T) {
 	d, _ := dataset.ByName("Astro-Author")
 	g := d.GenerateAt(0.1)
@@ -107,8 +106,10 @@ func TestEngineViewsOrientedHalf(t *testing.T) {
 			views[i], _ = en.FreezeView()
 			check(step, workers[i], views[i])
 		}
-		if err := sameNumbering(views[2], views[1]); err != nil {
-			t.Fatalf("step %d: workers 4 against workers 2: %v", step, err)
+		for _, i := range []int{0, 2} {
+			if err := sameNumbering(views[i], views[1]); err != nil {
+				t.Fatalf("step %d: workers %d against workers 2: %v", step, workers[i], err)
+			}
 		}
 	}
 }

@@ -8,18 +8,16 @@ import (
 )
 
 // freezeLog is what a Dense records between freezes once it has been
-// frozen or has adopted a view (NewDenseFrozen): the last view with the
-// id maps that tie it to the dense slots, and the rows and edge slots
-// marked since.
+// frozen or has adopted a view (NewDenseFrozen): the last view, and the
+// rows and edge ids marked since. A view numbers its edges by the dense
+// edge ids, which Freeze requires packed (CompactEdges), so the log
+// keeps no id map.
 type freezeLog struct {
 	view *Static
-	// staticOf[e] is the view's id for dense edge slot e, -1 if none;
-	// edgeOf[i] is the dense slot of the view's edge i.
-	staticOf, edgeOf []int32
 	// orig is the backing array of view.OrigID, with room to append: the
 	// positions of later views only grow at its end.
 	orig []Vertex
-	// rows and edges list the marked dense vertex rows and edge slots;
+	// rows and edges list the marked dense vertex rows and edge ids;
 	// rowMark and edgeMark deduplicate them.
 	rows, edges       []int32
 	rowMark, edgeMark []bool
@@ -28,9 +26,9 @@ type freezeLog struct {
 	// start from scratch.
 	removed, compacted bool
 	// Per-freeze scratch, kept to avoid reallocation.
-	holes, added, moved, placed, changed, verts []int32
-	blockMark, pageMark                         []bool
-	blockList, pageList                         []int32
+	changed, verts      []int32
+	blockMark, pageMark []bool
+	blockList, pageList []int32
 }
 
 // markRow records that row u changed. A nil log records nothing.
@@ -47,7 +45,7 @@ func (fz *freezeLog) markRow(u int32) {
 	}
 }
 
-// markEdge records that edge slot e, or the payload a caller keeps for
+// markEdge records that edge id e, or the payload a caller keeps for
 // it, changed. A nil log records nothing.
 func (fz *freezeLog) markEdge(e int32) {
 	if fz == nil {
@@ -63,22 +61,19 @@ func (fz *freezeLog) markEdge(e int32) {
 }
 
 // MarkEdge records that per-edge state the caller projects onto frozen
-// views (κ) changed for live edge eid, so the next Freeze lists the
-// edge's view id in FreezeIDs.Changed. It records nothing while d has
-// no freeze log: before the first Freeze of a Dense not built by
-// NewDenseFrozen.
+// views (κ) changed for live edge eid, so the next Freeze lists eid in
+// FreezeIDs.Changed. It records nothing while d has no freeze log:
+// before the first Freeze of a Dense not built by NewDenseFrozen.
 func (d *Dense) MarkEdge(eid int32) { d.fz.markEdge(eid) }
 
-// FreezeIDs relates a view's edge ids to the Dense it was frozen from
-// and to the previous view.
+// FreezeIDs relates a view's edge ids to the previous view's. A view's
+// edge i is the Dense's edge i.
 type FreezeIDs struct {
-	// EdgeOf[i] is the dense id of the view's edge i. It aliases storage
-	// the Dense owns and is valid until the Dense next changes.
-	EdgeOf []int32
-	// Changed lists the view ids whose edge is new, moved, or marked by
-	// MarkEdge since the previous Freeze; every other id names the same
-	// edge with the same marked state as in the previous view. It is
-	// meaningless when All is set, and aliases Dense storage like EdgeOf.
+	// Changed lists the ids whose edge is new, moved in by CompactEdges,
+	// or marked by MarkEdge since the previous Freeze; every other id
+	// names the same edge with the same marked state as in the previous
+	// view. It is meaningless when All is set. It aliases storage the
+	// Dense owns and is valid until the Dense next changes.
 	Changed []int32
 	// All reports that the view was built from scratch, so no id relates
 	// to the previous view.
@@ -96,11 +91,10 @@ type FreezeIDs struct {
 //
 // Positions are dense vertex ids while no vertex slot is free, so they
 // only grow at the end; otherwise live slots are compacted in ascending
-// order. A view keeps its predecessor's edge ids for unchanged edges:
-// an edge inserted since takes the id of one deleted since, or the next
-// id past the end, and when deletions outnumber insertions the highest
-// ids move into the remaining holes, so ids stay 0..M-1 at O(1) each.
-// A view from scratch numbers edges in ascending slot order.
+// order. Edge ids are the dense edge ids, which must be packed. Freeze
+// panics on a Dense with holes rather than compact it, so a silent
+// compaction can never desynchronise per-edge state a caller keeps:
+// such a caller compacts with its own move callback first.
 //
 // A view shares storage only with earlier views, never with d, so later
 // mutation of d does not affect it. Freezing twice with nothing changed
@@ -108,7 +102,7 @@ type FreezeIDs struct {
 func (d *Dense) Freeze() (*Static, FreezeIDs) {
 	fz := d.fz
 	if fz != nil && !fz.removed && len(fz.rows) == 0 && len(fz.edges) == 0 {
-		return fz.view, FreezeIDs{EdgeOf: fz.edgeOf}
+		return fz.view, FreezeIDs{}
 	}
 	all := fz == nil || fz.removed || fz.compacted || len(d.freeV) > 0
 	if all {
@@ -122,13 +116,13 @@ func (d *Dense) Freeze() (*Static, FreezeIDs) {
 			panic("trikdebug: incremental freeze: " + err.Error())
 		}
 	}
-	return s, FreezeIDs{EdgeOf: fz.edgeOf, Changed: changed, All: all}
+	return s, FreezeIDs{Changed: changed, All: all}
 }
 
 // FreezeFresh builds the view Freeze builds from scratch — positions as
-// Freeze assigns them, edge ids in ascending slot order — without
-// touching what Freeze records: the reference an incremental Freeze is
-// checked against (DiffViews).
+// Freeze assigns them, edge ids the dense ones — without touching what
+// Freeze records: the reference an incremental Freeze is checked
+// against (DiffViews).
 func (d *Dense) FreezeFresh() *Static {
 	s, _ := d.freezeWith(d.newFreezeLog())
 	return s
@@ -137,27 +131,20 @@ func (d *Dense) FreezeFresh() *Static {
 // NewDenseFrozen is NewDenseFromStatic for a Dense that continues from
 // s: s is its last frozen view, as if Freeze had just built it, so the
 // first Freeze returns s itself and later ones share s's unchanged
-// chunks. NewDenseFromStatic keeps slots = positions and edge slots =
+// chunks. NewDenseFromStatic keeps slots = positions and edge ids =
 // s's edge ids, so s is exactly the view a from-scratch Freeze would
-// build, and the log's id maps start as the identity. The Dense's views
-// share s's storage, so s must stay valid (a mapped view open) for as
-// long as any of them is in use. s is not written.
+// build. The Dense's views share s's storage, so s must stay valid (a
+// mapped view open) for as long as any of them is in use. s is not
+// written.
 func NewDenseFrozen(s *Static) *Dense {
 	d := NewDenseFromStatic(s)
 	n, m := len(d.orig), len(d.edgeU)
-	fz := &freezeLog{
+	d.fz = &freezeLog{
 		view:     s,
-		staticOf: make([]int32, m),
-		edgeOf:   make([]int32, m),
 		orig:     s.OrigID[:n:n],
 		rowMark:  make([]bool, n),
 		edgeMark: make([]bool, m),
 	}
-	for e := range fz.staticOf {
-		fz.staticOf[e] = int32(e) //trikcheck:checked e < m, which the view bounds to int32
-		fz.edgeOf[e] = int32(e)   //trikcheck:checked e < m, which the view bounds to int32
-	}
-	d.fz = fz
 	if debugChecks {
 		if err := DiffViews(s, d.FreezeFresh()); err != nil {
 			panic("trikdebug: adopted view: " + err.Error())
@@ -167,12 +154,11 @@ func NewDenseFrozen(s *Static) *Dense {
 }
 
 // newFreezeLog returns a log whose previous view is empty and in which
-// every live row and edge slot is marked, so freezeWith builds the whole
+// every live row and edge id is marked, so freezeWith builds the whole
 // view.
 func (d *Dense) newFreezeLog() *freezeLog {
 	fz := &freezeLog{
 		view:     &Static{},
-		staticOf: make([]int32, len(d.edgeU)),
 		rows:     make([]int32, 0, d.nv),
 		edges:    make([]int32, 0, d.ne),
 		rowMark:  make([]bool, len(d.orig)),
@@ -183,23 +169,22 @@ func (d *Dense) newFreezeLog() *freezeLog {
 			fz.markRow(int32(u)) //trikcheck:checked u indexes vlive, bounded to int32 by Intern
 		}
 	}
-	for e, u := range d.edgeU {
-		fz.staticOf[e] = -1
-		if u >= 0 {
-			fz.markEdge(int32(e)) //trikcheck:checked e indexes edgeU, bounded to int32 by AddEdgeV
-		}
+	for e := range d.edgeU {
+		fz.markEdge(int32(e)) //trikcheck:checked e indexes edgeU, bounded to int32 by AddEdgeV
 	}
 	return fz
 }
 
-// freezeWith is the one view builder. It assigns ids to the marked edge
-// slots, re-freezes the row blocks that hold a marked row or an endpoint
-// of a moved edge, copies on write the endpoint pages of the ids it
-// (re)assigned, appends new vertices, and clears the marks. It returns
-// the view and the ids whose edge or marked state changed. The view
-// stores rows only: its degree-oriented half is derived from them on
-// first use (Static.oriented).
+// freezeWith is the one view builder. It re-freezes the row blocks that
+// hold a marked row, copies on write the endpoint pages of the marked
+// ids whose endpoints changed, appends new vertices, and clears the
+// marks. It returns the view and the marked ids below its edge count.
+// The view stores rows only: its degree-oriented half is derived from
+// them on first use (Static.oriented).
 func (d *Dense) freezeWith(fz *freezeLog) (*Static, []int32) {
+	if len(d.holes) > 0 {
+		panic("graph: Freeze of a Dense with edge holes; CompactEdges first")
+	}
 	// Same overflow stance as FreezeStatic: the 2M adjacency offsets are
 	// int32, so refuse rather than truncate. Vertex ids are already bounded
 	// by Intern's capacity panic; the annotations below cite these guards.
@@ -207,7 +192,7 @@ func (d *Dense) freezeWith(fz *freezeLog) (*Static, []int32) {
 		panic("graph: Freeze edge count exceeds int32 capacity")
 	}
 	prev := fz.view
-	nPrev, n := prev.NumVertices(), d.nv
+	nPrev, n, m := prev.NumVertices(), d.nv, d.ne
 
 	// Positions: dense ids while no slot is free, else live slots
 	// compacted in ascending order (only ever on a build from scratch,
@@ -232,12 +217,13 @@ func (d *Dense) freezeWith(fz *freezeLog) (*Static, []int32) {
 		return posOf[u]
 	}
 
-	m, changed := d.assignEdgeIDs(fz, pos)
-
-	// Blocks to re-freeze: those of marked live rows and of both
-	// endpoints of moved edges, whose ids changed in their rows.
-	markBlock := func(p int32) {
-		b := p >> blockShift
+	// Blocks to re-freeze: those of marked live rows. A row whose entry
+	// CompactEdges rewrote is marked too.
+	for _, u := range fz.rows {
+		if !d.vlive[u] {
+			continue
+		}
+		b := pos(u) >> blockShift
 		for int(b) >= len(fz.blockMark) {
 			fz.blockMark = append(fz.blockMark, false)
 		}
@@ -246,21 +232,12 @@ func (d *Dense) freezeWith(fz *freezeLog) (*Static, []int32) {
 			fz.blockList = append(fz.blockList, b)
 		}
 	}
-	for _, u := range fz.rows {
-		if d.vlive[u] {
-			markBlock(pos(u))
-		}
-	}
-	for _, e := range fz.moved {
-		markBlock(pos(d.edgeU[e]))
-		markBlock(pos(d.edgeV[e]))
-	}
 	rows := make([]rowChunk, (n+blockMask)>>blockShift)
 	copy(rows, prev.rows)
 	// A bulk batch dirties most blocks; build those in parallel.
 	parallelBlocks(len(fz.blockList), func(lo, hi int) {
 		for _, b := range fz.blockList[lo:hi] {
-			rows[b] = d.buildBlock(int(b), n, fz.staticOf, posOf, denseAt)
+			rows[b] = d.buildBlock(int(b), n, posOf, denseAt)
 		}
 	})
 	for _, b := range fz.blockList {
@@ -268,8 +245,11 @@ func (d *Dense) freezeWith(fz *freezeLog) (*Static, []int32) {
 	}
 	fz.blockList = fz.blockList[:0]
 
-	// Endpoint pages: copy on write the pages of (re)assigned ids. Pages
-	// are always allocated whole, so a later view can grow into them.
+	// Endpoint pages: copy on write the pages of the marked ids whose
+	// endpoints changed, those past the previous view's end or naming
+	// another edge there; a mark for κ alone copies nothing. Marked ids
+	// past the end are holes CompactEdges dropped. Pages are always
+	// allocated whole, so a later view can grow into them.
 	np := (m + pageMask) >> pageShift
 	edgeU, edgeV := make([][]int32, np), make([][]int32, np)
 	copy(edgeU, prev.edgeU)
@@ -277,19 +257,30 @@ func (d *Dense) freezeWith(fz *freezeLog) (*Static, []int32) {
 	for len(fz.pageMark) < np {
 		fz.pageMark = append(fz.pageMark, false)
 	}
-	for _, i := range fz.placed {
+	changed := fz.changed[:0]
+	for _, i := range fz.edges {
+		if int(i) >= m {
+			continue
+		}
+		changed = append(changed, i)
+		u, v := pos(d.edgeU[i]), pos(d.edgeV[i])
+		if int(i) < prev.NumEdges() {
+			if pu, pv := prev.Endpoints(i); pu == u && pv == v {
+				continue
+			}
+		}
 		p := i >> pageShift
 		if !fz.pageMark[p] {
 			fz.pageMark[p] = true
 			fz.pageList = append(fz.pageList, p)
-			u, v := make([]int32, pageEdges), make([]int32, pageEdges)
-			copy(u, edgeU[p])
-			copy(v, edgeV[p])
-			edgeU[p], edgeV[p] = u, v
+			cu, cv := make([]int32, pageEdges), make([]int32, pageEdges)
+			copy(cu, edgeU[p])
+			copy(cv, edgeV[p])
+			edgeU[p], edgeV[p] = cu, cv
 		}
-		e := fz.edgeOf[i]
-		edgeU[p][i&pageMask], edgeV[p][i&pageMask] = pos(d.edgeU[e]), pos(d.edgeV[e])
+		edgeU[p][i&pageMask], edgeV[p][i&pageMask] = u, v
 	}
+	fz.changed = changed
 	for _, p := range fz.pageList {
 		fz.pageMark[p] = false
 	}
@@ -336,75 +327,10 @@ func (d *Dense) freezeWith(fz *freezeLog) (*Static, []int32) {
 	return s, changed
 }
 
-// assignEdgeIDs updates the id maps for the marked edge slots (see
-// Freeze for the refill rule), leaving in fz.placed the ids whose
-// endpoints must be written and in fz.moved the dense slots of moved
-// edges. It returns the new edge count and the ids whose edge or marked
-// state changed, all below it.
-func (d *Dense) assignEdgeIDs(fz *freezeLog, pos func(int32) int32) (int, []int32) {
-	prev := fz.view
-	for len(fz.staticOf) < len(d.edgeU) {
-		fz.staticOf = append(fz.staticOf, -1)
-	}
-	holes, added, changed := fz.holes[:0], fz.added[:0], fz.changed[:0]
-	for _, e := range fz.edges {
-		id, live := fz.staticOf[e], d.edgeU[e] >= 0
-		if id >= 0 && live {
-			if u, v := prev.Endpoints(id); u == pos(d.edgeU[e]) && v == pos(d.edgeV[e]) {
-				changed = append(changed, id) // same edge, marked state only
-				continue
-			}
-		}
-		if id >= 0 {
-			holes = append(holes, id)
-			fz.staticOf[e] = -1
-		}
-		if live {
-			added = append(added, e)
-		}
-	}
-	slices.Sort(holes)
-	slices.Sort(added)
-	m := prev.NumEdges()
-	fz.edgeOf = slices.Grow(fz.edgeOf[:m], len(added)-min(len(added), len(holes)))
-	placed := slices.Grow(fz.placed[:0], max(len(added), len(holes)))
-	moved := fz.moved[:0]
-	for k, e := range added {
-		id := int32(m) //trikcheck:checked m ≤ live edges, guarded by freezeWith
-		if k < len(holes) {
-			id = holes[k]
-		} else {
-			fz.edgeOf = append(fz.edgeOf[:m], e)
-			m++
-		}
-		fz.staticOf[e], fz.edgeOf[id] = id, e
-		placed = append(placed, id)
-	}
-	// Holes left over: fill each from the top, or drop it when it is the
-	// top id itself.
-	for rest := holes[min(len(added), len(holes)):]; len(rest) > 0; m-- {
-		top := int32(m - 1) //trikcheck:checked m ≤ live edges, guarded by freezeWith
-		if rest[len(rest)-1] == top {
-			rest = rest[:len(rest)-1]
-			continue
-		}
-		h, e := rest[0], fz.edgeOf[top]
-		rest = rest[1:]
-		fz.staticOf[e], fz.edgeOf[h] = h, e
-		placed = append(placed, h)
-		moved = append(moved, e)
-	}
-	fz.edgeOf = fz.edgeOf[:m]
-	changed = append(changed, placed...)
-	changed = slices.DeleteFunc(changed, func(id int32) bool { return int(id) >= m })
-	fz.holes, fz.added, fz.placed, fz.moved, fz.changed = holes[:0], added[:0], placed, moved, changed
-	return m, changed
-}
-
 // buildBlock builds the row chunk of block b of an n-vertex view, in
-// one allocation, from d's current rows and edge ids staticOf; posOf and
-// denseAt are the position maps (nil for dense ids).
-func (d *Dense) buildBlock(b, n int, staticOf, posOf, denseAt []int32) rowChunk {
+// one allocation, from d's current rows; posOf and denseAt are the
+// position maps (nil for dense ids).
+func (d *Dense) buildBlock(b, n int, posOf, denseAt []int32) rowChunk {
 	lo, hi := b<<blockShift, min((b+1)<<blockShift, n)
 	k, total := hi-lo, 0
 	dense := d.rows
@@ -424,7 +350,7 @@ func (d *Dense) buildBlock(b, n int, staticOf, posOf, denseAt []int32) rowChunk 
 			u = denseAt[p]
 		}
 		for _, packed := range dense[u] {
-			w, e := int32(packed>>32), staticOf[int32(uint32(packed))]
+			w, e := int32(packed>>32), int32(uint32(packed))
 			if posOf != nil {
 				w = posOf[w]
 			}

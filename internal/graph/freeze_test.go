@@ -8,17 +8,14 @@ import (
 )
 
 // checkFrozen verifies the full Static contract on a frozen view: CSR
-// shape, sorted rows, endpoint/edge-id cross-consistency, the edgeOf
-// projection back to dense ids, and structural agreement with an
-// independent Graph-based freeze of the same substrate.
-func checkFrozen(t *testing.T, d *Dense, s *Static, edgeOf []int32) {
+// shape, sorted rows, endpoint/edge-id cross-consistency, edge ids equal
+// to the dense ones, and structural agreement with an independent
+// Graph-based freeze of the same substrate.
+func checkFrozen(t *testing.T, d *Dense, s *Static) {
 	t.Helper()
 	if s.NumVertices() != d.NumVertices() || s.NumEdges() != d.NumEdges() {
 		t.Fatalf("size mismatch: frozen %d/%d vs dense %d/%d",
 			s.NumVertices(), s.NumEdges(), d.NumVertices(), d.NumEdges())
-	}
-	if len(edgeOf) != s.NumEdges() {
-		t.Fatalf("len(edgeOf) = %d, want %d", len(edgeOf), s.NumEdges())
 	}
 	n := s.NumVertices()
 	entries := 0
@@ -47,8 +44,8 @@ func checkFrozen(t *testing.T, d *Dense, s *Static, edgeOf []int32) {
 		if u, v := s.Endpoints(i); u >= v {
 			t.Fatalf("EdgeU ≥ EdgeV at edge %d", i)
 		}
-		if got, want := s.EdgeAt(i), d.EdgeAt(edgeOf[i]); got != want {
-			t.Fatalf("edgeOf[%d]: frozen edge %v, dense edge %v", i, got, want)
+		if got, want := s.EdgeAt(i), d.EdgeAt(i); got != want {
+			t.Fatalf("edge %d: frozen edge %v, dense edge %v", i, got, want)
 		}
 	}
 	for p, v := range s.OrigID {
@@ -79,25 +76,19 @@ func checkFrozen(t *testing.T, d *Dense, s *Static, edgeOf []int32) {
 
 // TestFreezePreservesDenseIDs checks that freezing a hole-free Dense is
 // the identity relabeling: every array of the view matches a Graph-based
-// FreezeStatic exactly (the dense ids were adopted from one), and edgeOf
-// is the identity.
+// FreezeStatic exactly (the dense ids were adopted from one).
 func TestFreezePreservesDenseIDs(t *testing.T) {
 	g := FromPairs(1, 2, 2, 3, 3, 1, 3, 4, 4, 5, 5, 3, 1, 9)
 	d := NewDenseFromStatic(FreezeStatic(g))
-	s, ids := d.Freeze()
-	edgeOf := ids.EdgeOf
+	s, _ := d.Freeze()
 	staticsEqual(t, s, FreezeStatic(g))
-	for i, deid := range edgeOf {
-		if int32(i) != deid {
-			t.Fatalf("edgeOf[%d] = %d, want identity", i, deid)
-		}
-	}
-	checkFrozen(t, d, s, edgeOf)
+	checkFrozen(t, d, s)
 }
 
-// TestFreezeCompactsFreeSlots punches holes in both free lists (a removed
-// mid-range edge and a removed vertex) and checks the frozen view is
-// hole-free and structurally exact.
+// TestFreezeCompactsFreeSlots punches holes in the edge ids (a removed
+// mid-range edge) and the vertex slots (a removed vertex), compacts the
+// edge ids, and checks the frozen view is hole-free and structurally
+// exact.
 func TestFreezeCompactsFreeSlots(t *testing.T) {
 	d := NewDense()
 	for u := Vertex(1); u <= 5; u++ {
@@ -112,8 +103,9 @@ func TestFreezeCompactsFreeSlots(t *testing.T) {
 	if d.EdgeCap() == d.NumEdges() || d.VertexCap() == d.NumVertices() {
 		t.Fatal("test graph has no holes to compact")
 	}
-	s, ids := d.Freeze()
-	checkFrozen(t, d, s, ids.EdgeOf)
+	d.CompactEdges(nil)
+	s, _ := d.Freeze()
+	checkFrozen(t, d, s)
 }
 
 // TestFreezeRandomChurn freezes after a long randomized insert/delete
@@ -138,8 +130,9 @@ func TestFreezeRandomChurn(t *testing.T) {
 		}
 	}
 	churn(1500)
-	s, ids := d.Freeze()
-	checkFrozen(t, d, s, ids.EdgeOf)
+	d.CompactEdges(nil)
+	s, _ := d.Freeze()
+	checkFrozen(t, d, s)
 
 	// The view shares nothing with the substrate.
 	tris := s.TriangleCount()
@@ -221,6 +214,7 @@ func TestFreezeSharesUntouchedChunks(t *testing.T) {
 	a, b := prev.Endpoints(0)
 	tu, tv := prev.Endpoints(int32(prev.NumEdges() - 1))
 	d.RemoveEdgeByID(d.EdgeIDV(prev.OrigID[a], prev.OrigID[b]))
+	d.CompactEdges(nil)
 	next, ids = d.Freeze()
 	if err := DiffViews(next, d.FreezeFresh()); err != nil {
 		t.Fatal(err)

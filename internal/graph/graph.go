@@ -142,6 +142,8 @@ func (t Triangle) String() string { return fmt.Sprintf("(%d,%d,%d)", t.A, t.B, t
 
 // Graph is a mutable undirected simple graph: a Dense whose edge ids it
 // hides, its methods translating vertex ids through the Dense's index.
+// Its removals compact the edge ids at once, since nothing outside the
+// Dense holds them.
 // The zero value is not usable; construct graphs with New, or in bulk with
 // FromEdges, FromPairs or ReadEdgeList. Graph is not safe for concurrent
 // mutation; concurrent reads are safe. ForEach* callbacks must not mutate
@@ -179,7 +181,7 @@ func (g *Graph) row(v Vertex) []int64 {
 // AddVertex ensures v is present (possibly isolated). It reports whether the
 // vertex was newly added.
 func (g *Graph) AddVertex(v Vertex) bool {
-	_, added := g.d.intern(v)
+	_, added := g.d.Intern(v)
 	return added
 }
 
@@ -187,20 +189,16 @@ func (g *Graph) AddVertex(v Vertex) bool {
 // vertex was present.
 func (g *Graph) RemoveVertex(v Vertex) bool {
 	for row := g.row(v); len(row) > 0; row = g.row(v) {
-		g.d.removeEdge(int32(uint32(row[len(row)-1])))
+		g.d.RemoveEdgeByID(int32(uint32(row[len(row)-1])))
 	}
-	return g.d.removeVertex(v)
+	g.d.CompactEdges(nil)
+	return g.d.RemoveVertexV(v)
 }
 
 // AddEdge inserts the undirected edge {u, v}, creating endpoints as needed.
 // It reports whether the edge was newly added. It panics on self-loops.
 func (g *Graph) AddEdge(u, v Vertex) bool {
-	if u == v {
-		panic(fmt.Sprintf("graph: self-loop on vertex %d", u))
-	}
-	du, _ := g.d.intern(u)
-	dv, _ := g.d.intern(v)
-	_, added := g.d.addEdge(du, dv)
+	_, added := g.d.AddEdgeV(u, v)
 	return added
 }
 
@@ -214,7 +212,8 @@ func (g *Graph) RemoveEdge(u, v Vertex) bool {
 	if eid < 0 {
 		return false
 	}
-	g.d.removeEdge(eid)
+	g.d.RemoveEdgeByID(eid)
+	g.d.CompactEdges(nil)
 	return true
 }
 

@@ -14,11 +14,12 @@ import "fmt"
 //     no self-entries, and rows of dead vertices are empty;
 //   - adjacency is symmetric: entry (w, eid) in row u implies entry
 //     (u, eid) in row w, both matching the edge's endpoint arrays;
-//   - edge slots partition into live edges (counted by ne, each present
-//     in exactly its two endpoint rows) and free-list slots.
+//   - edge ids below EdgeCap partition into live edges (counted by ne,
+//     each present in exactly its two endpoint rows) and the holes
+//     removals left since the last CompactEdges, each listed once.
 //
-// It is O(V + E log deg). Under the trikdebug build tag every exported
-// mutating operation asserts it; see debugAssert.
+// It is O(V + E log deg). Under the trikdebug build tag CompactEdges
+// asserts it; see debugAssert.
 func (d *Dense) CheckInvariants() error {
 	n := len(d.orig)
 	if len(d.vlive) != n || len(d.rows) != n {
@@ -62,27 +63,27 @@ func (d *Dense) CheckInvariants() error {
 		return fmt.Errorf("graph: %d live + %d free vertex slots, capacity %d", liveV, len(d.freeV), n)
 	}
 
-	// Edge free list.
-	freeESeen := make(map[int32]bool, len(d.freeE))
-	for _, eid := range d.freeE {
-		if int(eid) < 0 || int(eid) >= len(d.edgeU) || d.edgeU[eid] >= 0 || freeESeen[eid] {
-			return fmt.Errorf("graph: edge free list corrupt at id %d", eid)
+	// Edge holes.
+	holeSeen := make(map[int32]bool, len(d.holes))
+	for _, eid := range d.holes {
+		if int(eid) < 0 || int(eid) >= len(d.edgeU) || d.edgeU[eid] >= 0 || holeSeen[eid] {
+			return fmt.Errorf("graph: edge hole list corrupt at id %d", eid)
 		}
-		freeESeen[eid] = true
+		holeSeen[eid] = true
 	}
 	liveE := 0
 	for eid := range d.edgeU {
 		if d.edgeU[eid] >= 0 {
 			liveE++
-		} else if !freeESeen[int32(eid)] { //trikcheck:checked eid indexes edgeU, whose growth AddEdgeV bounds to int32
-			return fmt.Errorf("graph: dead edge slot %d missing from free list", eid)
+		} else if !holeSeen[int32(eid)] { //trikcheck:checked eid indexes edgeU, whose growth AddEdgeV bounds to int32
+			return fmt.Errorf("graph: dead edge slot %d missing from hole list", eid)
 		}
 	}
 	if liveE != d.ne {
 		return fmt.Errorf("graph: %d edge slots live, ne = %d", liveE, d.ne)
 	}
-	if liveE+len(d.freeE) != len(d.edgeU) {
-		return fmt.Errorf("graph: %d live + %d free edge slots, capacity %d", liveE, len(d.freeE), len(d.edgeU))
+	if liveE+len(d.holes) != len(d.edgeU) {
+		return fmt.Errorf("graph: %d live edges + %d holes, capacity %d", liveE, len(d.holes), len(d.edgeU))
 	}
 
 	// Rows: sortedness, symmetry, endpoint agreement.
@@ -127,9 +128,9 @@ func (d *Dense) CheckInvariants() error {
 }
 
 // debugAssert panics on the first invariant violation when the trikdebug
-// build tag is set, and compiles to nothing otherwise. Every exported
-// mutating Dense operation calls it on exit; Graph mutates through the
-// unexported bodies, which do not.
+// build tag is set, and compiles to nothing otherwise. CompactEdges calls
+// it on exit, so the O(V + E) check runs once per engine batch or Graph
+// removal, not once per edge.
 func (d *Dense) debugAssert() {
 	if !debugChecks {
 		return

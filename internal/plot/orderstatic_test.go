@@ -70,6 +70,7 @@ func TestDensityStaticIndependentOfDenseLayout(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		scrambled.RemoveEdgeByID(scrambled.EdgeIDV(graph.Vertex(100+i), graph.Vertex(101+i)))
 	}
+	scrambled.CompactEdges(nil)
 	for i := 0; i <= 6; i++ {
 		scrambled.RemoveVertexV(graph.Vertex(100 + i))
 	}

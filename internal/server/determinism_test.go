@@ -82,8 +82,9 @@ func TestResponsesDeterministic(t *testing.T) {
 // TestRepublishDeterministic drives the graph away from its initial
 // state and back again, forcing a republish of the same graph content at
 // a higher version, and requires every content endpoint to return
-// byte-identical bodies. Dense ids get scrambled by the churn (slots are
-// recycled LIFO), so any handler or derived artifact ordered by dense
+// byte-identical bodies. Dense ids get scrambled by the churn (each
+// batch moves its top edges into the deleted edges' ids), so any handler
+// or derived artifact ordered by dense
 // position rather than external vertex id fails here. /stats is checked
 // separately: its Updates work counters legitimately advance across the
 // round trip, but the graph-shape fields must return to their old values.
@@ -111,9 +112,9 @@ func TestRepublishDeterministic(t *testing.T) {
 
 	// Out and back among the existing vertices (edge removal never drops
 	// vertices, so new vertices would not round-trip): drop two original
-	// edges, bridge the components, then undo. The re-added edges land in
-	// recycled dense slots, so the republished freeze numbers them in a
-	// different allocation order than the original.
+	// edges, bridge the components, then undo. The re-added edges land at
+	// the end of the dense ids, so the republished freeze numbers them in
+	// a different order than the original.
 	postJSON(t, ts.URL+"/edges", `{"remove":[[1,2],[20,21]],"add":[[1,20]]}`)
 	postJSON(t, ts.URL+"/edges", `{"remove":[[1,20]],"add":[[1,2],[20,21]]}`)
 

@@ -52,10 +52,9 @@ func (p *Publisher) Acquire() *Snapshot { return p.cur.Load() }
 
 // SetWorkers sets the worker count every batch applies with: n > 1 runs
 // the engine's parallel epoch path with n workers, n <= 1 the serial
-// path. Epochs at any n > 1 leave identical engine state, and the serial
-// path reaches the same κ per edge and so the same served bodies; only
-// its dense edge numbering differs, since it frees deleted slots before
-// it inserts. So this is purely a throughput knob for multi-core hosts.
+// path. Both leave identical engine state, edge numbering included, so
+// snapshots are identical at every n and this is purely a throughput
+// knob for multi-core hosts.
 func (p *Publisher) SetWorkers(n int) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
